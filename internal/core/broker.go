@@ -25,13 +25,21 @@ const (
 // (at-least-once fetch/ack) and handlerSub (push dispatch) all satisfy
 // it, so fan-out, retained replay and stats accounting exist once.
 type subscriber interface {
-	offer(m Message)
+	// offer enqueues m and reports whether the mailbox's consumer has to
+	// be woken for it: true exactly when the message landed in an empty
+	// mailbox. Messages joining a non-empty mailbox ride on the wake owed
+	// for the message already queued there.
+	offer(m Message) bool
 	// offerRetained is offer for the retained replay at subscribe time:
 	// it skips a message whose offset the mailbox already holds, because
 	// a publish racing the subscription may deliver the same message
 	// both live (through the fresh trie snapshot) and via the retained
 	// stripes.
 	offerRetained(m Message)
+	// wake tells the consumer the mailbox may be non-empty. It never
+	// blocks; the publish path calls it outside every lock, once per
+	// mailbox per call — a batch is fanned out whole before any wake.
+	wake()
 	shut()
 	Dropped() int
 }
@@ -66,6 +74,36 @@ type Subscription struct {
 	// delivered counts messages enqueued.
 	delivered int
 	closed    bool
+	// ready is the wake signal: capacity 1, so a wake is a non-blocking
+	// send that leaves at most one token however many publishers race.
+	ready chan struct{}
+}
+
+// newSubscription builds an unregistered mailbox (capacity default 1024
+// when <= 0).
+func newSubscription(pattern string, capacity int, policy DropPolicy) *Subscription {
+	if capacity <= 0 {
+		capacity = 1024
+	}
+	return &Subscription{Pattern: pattern, cap: capacity, policy: policy, ready: make(chan struct{}, 1)}
+}
+
+// Ready returns the mailbox's wake signal, for a consumer that wants to
+// block instead of poll. A token arrives after a publish call has put
+// messages into the empty mailbox (one token per call, not per message)
+// and after a retained replay at subscribe time. The protocol is edge
+// triggered: after receiving, Poll(0) — everything, not a bounded batch —
+// and only then wait again. A token with nothing behind it is possible
+// and harmless; a queued message with no token on its way is not, because
+// the publisher signals after it enqueues and the consumer polls after
+// it receives.
+func (s *Subscription) Ready() <-chan struct{} { return s.ready }
+
+func (s *Subscription) wake() {
+	select {
+	case s.ready <- struct{}{}:
+	default:
+	}
 }
 
 // at returns the ring slot index for the i-th queued message.
@@ -115,10 +153,12 @@ func (s *Subscription) Delivered() int {
 	return s.delivered
 }
 
-func (s *Subscription) offer(m Message) {
+func (s *Subscription) offer(m Message) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	wasEmpty := s.n == 0
 	s.offerLocked(m)
+	return wasEmpty && s.n > 0
 }
 
 func (s *Subscription) offerLocked(m Message) {
@@ -253,6 +293,9 @@ type Broker struct {
 	// log, when set, receives a durable copy of every published message
 	// before fan-out (write-through) and assigns its offsets.
 	log atomic.Pointer[eventlog.Log]
+	// commit is the log-tail wake: nil while no tailer is parked, else
+	// the channel the next offset advance closes (see CommitSignal).
+	commit atomic.Pointer[chan struct{}]
 
 	// retained keeps the last message per concrete topic so late
 	// subscribers can catch up (MQTT-style retained messages), sharded
@@ -305,8 +348,12 @@ func (b *Broker) register(pattern string, sub subscriber) (int, error) {
 		return 0, err
 	}
 	id := b.registerEntry(pattern, sub)
-	for _, m := range b.retainedMatches(pattern) {
+	retained := b.retainedMatches(pattern)
+	for _, m := range retained {
 		sub.offerRetained(m)
+	}
+	if len(retained) > 0 {
+		sub.wake()
 	}
 	return id, nil
 }
@@ -353,10 +400,7 @@ func (b *Broker) remove(id int) {
 // <= 0) and a drop policy. Retained messages matching the pattern are
 // replayed into the new subscription immediately.
 func (b *Broker) Subscribe(pattern string, capacity int, policy DropPolicy) (*Subscription, error) {
-	if capacity <= 0 {
-		capacity = 1024
-	}
-	sub := &Subscription{Pattern: pattern, cap: capacity, policy: policy}
+	sub := newSubscription(pattern, capacity, policy)
 	id, err := b.register(pattern, sub)
 	if err != nil {
 		return nil, err
@@ -459,7 +503,9 @@ func (b *Broker) Publish(m Message) (int, error) {
 	matched := trieMatch(b.index.Load(), m.Topic, true, *mp)
 	b.deliveries.Add(int64(len(matched)))
 	for _, e := range matched {
-		e.sub.offer(m)
+		if e.sub.offer(m) {
+			e.sub.wake()
+		}
 	}
 	n := len(matched)
 	*mp = matched
@@ -487,6 +533,7 @@ func (b *Broker) stamp(m *Message) error {
 	}
 	m.Offset = off
 	m.cache = c
+	b.notifyCommit()
 	return nil
 }
 
@@ -515,6 +562,9 @@ func (b *Broker) PublishBatch(msgs []Message) (int, error) {
 			recs[i] = eventlog.Record{Topic: msgs[i].Topic, Time: msgs[i].Time, Payload: c.payload, Headers: msgs[i].Headers}
 		}
 		first, n, err := l.AppendBatch(recs)
+		if n > 0 {
+			b.notifyCommit()
+		}
 		for i := 0; i < n; i++ {
 			msgs[i].Offset = first + uint64(i)
 		}
@@ -553,12 +603,22 @@ func (b *Broker) PublishBatch(msgs []Message) (int, error) {
 	}
 	total := len(flat)
 	b.deliveries.Add(int64(total))
-	start := 0
+	// Wakes are held back until the whole batch is fanned out, so each
+	// touched mailbox is woken once and its consumer finds the batch
+	// complete. The owed wakes are compacted into the front of flat, which
+	// the read index has already passed.
+	owed, start := 0, 0
 	for i, end := range ends {
 		for _, e := range flat[start:end] {
-			e.sub.offer(msgs[i])
+			if e.sub.offer(msgs[i]) {
+				flat[owed] = e
+				owed++
+			}
 		}
 		start = end
+	}
+	for _, e := range flat[:owed] {
+		e.sub.wake()
 	}
 	*mp = flat
 	putMatched(mp)

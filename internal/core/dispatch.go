@@ -17,8 +17,8 @@ type Handler func(m Message)
 const dispatchBatch = 256
 
 // handlerSub wraps a Subscription with a handler: every offer lands in
-// the bounded mailbox as usual, then the mailbox is scheduled onto the
-// dispatcher's worker pool. Backpressure semantics (capacity, drop
+// the bounded mailbox as usual, and the mailbox's wake schedules it onto
+// the dispatcher's worker pool. Backpressure semantics (capacity, drop
 // policy) are exactly those of the underlying subscription.
 type handlerSub struct {
 	*Subscription
@@ -29,19 +29,11 @@ type handlerSub struct {
 	scheduled atomic.Bool
 }
 
-func (h *handlerSub) offer(m Message) {
-	h.Subscription.offer(m)
-	if d := h.b.dispatcher(); d != nil {
-		d.schedule(h)
-	}
-}
-
-// offerRetained mirrors offer for the subscribe-time retained replay:
-// the embedded Subscription's offset dedupe applies, and the mailbox is
-// scheduled so the handler sees the replay without waiting for the next
-// live publish.
-func (h *handlerSub) offerRetained(m Message) {
-	h.Subscription.offerRetained(m)
+// wake schedules the mailbox onto the worker pool — the handler
+// flavor's consumer is a worker turn, not a parked goroutine. A wake that
+// finds the mailbox already scheduled is dropped; the worker re-checks
+// Pending after its turn, so nothing sits unserved.
+func (h *handlerSub) wake() {
 	if d := h.b.dispatcher(); d != nil {
 		d.schedule(h)
 	}
@@ -226,10 +218,7 @@ func (b *Broker) SubscribeHandler(pattern string, capacity int, policy DropPolic
 		return nil, err
 	}
 	b.StartDispatch(0)
-	if capacity <= 0 {
-		capacity = 1024
-	}
-	sub := &Subscription{Pattern: pattern, cap: capacity, policy: policy}
+	sub := newSubscription(pattern, capacity, policy)
 	h := &handlerSub{Subscription: sub, fn: fn, b: b}
 	id, err := b.register(pattern, h)
 	if err != nil {

@@ -8,8 +8,9 @@
 //     communication among the applications and the semantic
 //     middleware". Matching goes through a segment topic trie, so
 //     publish cost scales with topic depth, not subscription count.
-//     Subscribers choose their QoS: bounded polled Subscriptions
-//     (at-most-once, drop accounted), AckSubscriptions (at-least-once
+//     Subscribers choose their QoS: bounded Subscriptions, polled or
+//     waited on through Ready (at-most-once, drop accounted),
+//     AckSubscriptions (at-least-once
 //     fetch/ack/redeliver, the SMS-channel tier), or push-mode handler
 //     subscriptions drained by a worker-pool dispatcher. The broker is
 //     reachable over the network through internal/gateway;

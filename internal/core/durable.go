@@ -80,6 +80,36 @@ func (b *Broker) NextOffset() uint64 {
 	return b.seq.Load() + 1
 }
 
+// CommitSignal returns a channel that the next durable publish closes
+// once its records are in the log — the wake for a consumer tailing the
+// log with ReplayFrom. To park without losing a commit, take the channel
+// first, then replay up to NextOffset, then wait on the channel: a
+// publish that lands after the replay's snapshot finds the channel
+// installed and closes it (installing the channel and advancing the
+// offset are both sequentially consistent, so one side always sees the
+// other). Every tailer parked in the same interval shares one channel,
+// and a publish with no tailer parked pays one atomic load.
+func (b *Broker) CommitSignal() <-chan struct{} {
+	for {
+		if p := b.commit.Load(); p != nil {
+			return *p
+		}
+		ch := make(chan struct{})
+		if b.commit.CompareAndSwap(nil, &ch) {
+			return ch
+		}
+	}
+}
+
+// notifyCommit wakes every parked tailer after an offset advance. The
+// swap to nil makes the closer unique, and a tailer that parks after it
+// installs a fresh channel.
+func (b *Broker) notifyCommit() {
+	if p := b.commit.Load(); p != nil && b.commit.CompareAndSwap(p, nil) {
+		close(*p)
+	}
+}
+
 // ReplayFrom streams every logged message with offset >= from whose
 // topic matches pattern to fn, in offset order, up to the log's end at
 // call time; it returns the next offset to replay from (pass it back in
@@ -107,13 +137,10 @@ func (b *Broker) ReplayFrom(from uint64, pattern string, fn func(Message) error)
 // consumers (the gateway's Last-Event-ID path) use it so history comes
 // solely from ReplayFrom, in offset order, without retained duplicates.
 func (b *Broker) SubscribeLive(pattern string, capacity int, policy DropPolicy) (*Subscription, error) {
-	if capacity <= 0 {
-		capacity = 1024
-	}
 	if err := ValidatePattern(pattern); err != nil {
 		return nil, err
 	}
-	sub := &Subscription{Pattern: pattern, cap: capacity, policy: policy}
+	sub := newSubscription(pattern, capacity, policy)
 	sub.ID = b.registerEntry(pattern, sub)
 	return sub, nil
 }

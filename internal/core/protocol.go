@@ -32,6 +32,10 @@ type ProtocolLayer struct {
 	mu      sync.Mutex
 	sources map[string]ReadingSource
 	cursors map[string]int
+	// fetchMu serializes Fetch per source: reading the cursor,
+	// downloading and advancing the cursor are one step, or two
+	// overlapping ingest cycles download the same readings twice.
+	fetchMu map[string]*sync.Mutex
 	// fetched counts readings pulled per source.
 	fetched map[string]int
 	// parallelism bounds concurrent downloads in FetchAll.
@@ -43,6 +47,7 @@ func NewProtocolLayer() *ProtocolLayer {
 	return &ProtocolLayer{
 		sources:     make(map[string]ReadingSource),
 		cursors:     make(map[string]int),
+		fetchMu:     make(map[string]*sync.Mutex),
 		fetched:     make(map[string]int),
 		parallelism: defaultFetchParallelism,
 	}
@@ -70,6 +75,7 @@ func (p *ProtocolLayer) AddSource(name string, src ReadingSource) error {
 		return fmt.Errorf("core: source %q already registered", name)
 	}
 	p.sources[name] = src
+	p.fetchMu[name] = new(sync.Mutex)
 	return nil
 }
 
@@ -78,11 +84,16 @@ func (p *ProtocolLayer) AddSource(name string, src ReadingSource) error {
 func (p *ProtocolLayer) Fetch(name string, limit int) ([]wsn.RawReading, error) {
 	p.mu.Lock()
 	src, ok := p.sources[name]
-	cursor := p.cursors[name]
+	fetchMu := p.fetchMu[name]
 	p.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("core: unknown source %q", name)
 	}
+	fetchMu.Lock()
+	defer fetchMu.Unlock()
+	p.mu.Lock()
+	cursor := p.cursors[name]
+	p.mu.Unlock()
 	batch, next, err := src.Download(cursor, limit)
 	if err != nil {
 		return nil, fmt.Errorf("core: download from %q: %w", name, err)

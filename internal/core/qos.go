@@ -36,20 +36,25 @@ type AckSubscription struct {
 	closed   bool
 }
 
-func (s *AckSubscription) offer(m Message) {
+// offer never asks for a wake: ack queues are fetched, nobody parks on
+// them.
+func (s *AckSubscription) offer(m Message) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return
+		return false
 	}
 	// Backpressure counts queue + in-flight: unacked work is still work.
 	if len(s.queue)+len(s.inflight) >= s.capacity {
 		s.dropped++
-		return // at-least-once drops newest: losing old unacked silently would lie
+		return false // at-least-once drops newest: losing old unacked silently would lie
 	}
 	s.seq++
 	s.queue = append(s.queue, Delivery{Seq: s.seq, Message: m})
+	return false
 }
+
+func (s *AckSubscription) wake() {}
 
 // offerRetained enqueues a retained message unless the mailbox (queued
 // or in-flight) already holds that offset — the subscribe/publish race

@@ -53,6 +53,8 @@ var statsSchema = obj(map[string]node{
 		"sse_streams_total": leaf(kNum),
 		"sse_resumed_total": leaf(kNum),
 		"sse_events_sent":   leaf(kNum),
+		"sse_writes":        leaf(kNum),
+		"sse_wakeups":       leaf(kNum),
 		"slow_disconnects":  leaf(kNum),
 		"published":         leaf(kNum),
 		"publish_batches":   leaf(kNum),

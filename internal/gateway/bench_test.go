@@ -1,8 +1,13 @@
 package gateway
 
 import (
+	"fmt"
+	"io"
+	"net"
 	"net/http/httptest"
+	"sort"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -124,4 +129,119 @@ func BenchmarkGatewayPublishHTTP(b *testing.B) {
 			b.Fatalf("publish status %d", rec.Code)
 		}
 	}
+}
+
+// durableBenchGateway is a gateway over a durable broker behind a real
+// loopback listener — the serving path bench/ drives, minus the child
+// process.
+func durableBenchGateway(b *testing.B) (*core.Broker, *Gateway, *httptest.Server) {
+	b.Helper()
+	l, err := eventlog.Open(eventlog.Config{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	broker := core.NewBroker()
+	if _, err := broker.AttachLog(l); err != nil {
+		b.Fatal(err)
+	}
+	g, err := New(Config{Broker: broker})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := httptest.NewServer(g)
+	b.Cleanup(func() {
+		_ = g.Close()
+		srv.Close()
+		_ = l.Close()
+	})
+	return broker, g, srv
+}
+
+// BenchmarkSSEDeliverLatency names the layer the wake protocol moves:
+// one iteration is POST /publish → the event's SSE frame read back on a
+// live stream, over loopback HTTP. ns/op is the mean; p50-us is the
+// median of the per-iteration timings (the bench/ workload's
+// deliver_p50_ms without the child process). With a poll cadence in the
+// pump this sits at half the cadence; woken by the publish it is the
+// path itself.
+func BenchmarkSSEDeliverLatency(b *testing.B) {
+	_, g, srv := durableBenchGateway(b)
+	resp, err := srv.Client().Get(srv.URL + "/subscribe?pattern=lat/%23")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer resp.Body.Close()
+	for g.sseActive.Load() != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	sc := newSSEScanner(resp.Body)
+	body := `{"topic":"lat/mangaung/Rainfall","payload":{"value":1.25}}`
+	took := make([]time.Duration, 0, b.N)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		pr, err := srv.Client().Post(srv.URL+"/publish", "application/json", strings.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, pr.Body)
+		pr.Body.Close()
+		// One frame is id/event/data lines closed by an empty line.
+		for sc.Scan() && sc.Text() != "" {
+		}
+		if err := sc.Err(); err != nil {
+			b.Fatal(err)
+		}
+		took = append(took, time.Since(start))
+	}
+	b.StopTimer()
+	sort.Slice(took, func(i, j int) bool { return took[i] < took[j] })
+	b.ReportMetric(float64(took[len(took)/2].Microseconds()), "p50-us")
+}
+
+// BenchmarkSSEIdleStreams1000 prices an open stream with nothing to
+// say: 1000 parked streams (half queue-backed, half log-tail) and no
+// publisher. One iteration is a 100 ms window; cpu-s/s is the process's
+// CPU seconds per wall second over the timed windows — what a fleet of
+// quiet dashboards costs the one box. A 15 ms ticker per stream is
+// ~66 k timer wakeups a second here; parked on their wake signals the
+// streams cost nothing until the keep-alive.
+func BenchmarkSSEIdleStreams1000(b *testing.B) {
+	const streams = 1000
+	_, g, srv := durableBenchGateway(b)
+	addr := strings.TrimPrefix(srv.URL, "http://")
+	// Raw connections that send the request and never read: the client
+	// side must not put goroutines or timers of its own into the
+	// measurement.
+	for i := 0; i < streams; i++ {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer c.Close()
+		query := "pattern=idle/%23"
+		if i%2 == 1 {
+			query += "&from=1"
+		}
+		if _, err := fmt.Fprintf(c, "GET /subscribe?%s HTTP/1.1\r\nHost: bench\r\n\r\n", query); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for g.sseActive.Load() != streams {
+		time.Sleep(time.Millisecond)
+	}
+	cpu := func() time.Duration {
+		var ru syscall.Rusage
+		if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+			b.Fatal(err)
+		}
+		return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+	}
+	b.ResetTimer()
+	cpu0, wall0 := cpu(), time.Now()
+	for i := 0; i < b.N; i++ {
+		time.Sleep(100 * time.Millisecond)
+	}
+	b.ReportMetric((cpu()-cpu0).Seconds()/time.Since(wall0).Seconds(), "cpu-s/s")
+	b.ReportMetric(float64(g.sseWakeups.Load()), "wakeups")
 }

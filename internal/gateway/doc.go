@@ -22,7 +22,9 @@
 // The gateway deliberately adds no delivery semantics of its own: an
 // SSE client is a plain bounded Subscription (at-most-once, drop
 // accounted), an ack queue is an AckSubscription (at-least-once), and
-// backpressure is whatever the broker already does. Slow SSE consumers
+// backpressure is whatever the broker already does. Streams are woken
+// by the broker — the mailbox's Ready signal, or the commit signal for
+// log-backed resume streams — never by a timer. Slow SSE consumers
 // are evicted once their subscription's drop counter crosses the
 // configured limit; their losses stay visible in /stats because the
 // broker keeps drop totals of removed subscriptions.

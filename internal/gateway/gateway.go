@@ -17,12 +17,11 @@ import (
 
 // Defaults for Config zero values.
 const (
-	defaultBuffer        = 256
-	defaultMaxBuffer     = 4096
-	defaultFlushInterval = 15 * time.Millisecond
-	defaultKeepAlive     = 15 * time.Second
-	defaultWriteTimeout  = 30 * time.Second
-	defaultMaxQueues     = 1024
+	defaultBuffer       = 256
+	defaultMaxBuffer    = 4096
+	defaultKeepAlive    = 15 * time.Second
+	defaultWriteTimeout = 30 * time.Second
+	defaultMaxQueues    = 1024
 	// maxPublishBytes bounds a /publish request body.
 	maxPublishBytes = 4 << 20
 	// maxPayloadBytes bounds one envelope's payload. Every published
@@ -45,9 +44,8 @@ type Config struct {
 	// dropped this many messages to backpressure (default: the client's
 	// buffer size).
 	DropLimit int
-	// FlushInterval is the SSE pump's poll cadence (default 15ms).
-	FlushInterval time.Duration
-	// KeepAlive is the SSE comment heartbeat period (default 15s).
+	// KeepAlive is how long an SSE stream stays silent before a comment
+	// heartbeat goes out (default 15s); data writes push it back.
 	KeepAlive time.Duration
 	// WriteTimeout bounds each SSE write (default 30s). A client whose
 	// transport has stalled — not just one reading slowly — fails the
@@ -72,9 +70,6 @@ func (c *Config) applyDefaults() {
 	// client-request cap.
 	if c.MaxBuffer < c.DefaultBuffer {
 		c.MaxBuffer = c.DefaultBuffer
-	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = defaultFlushInterval
 	}
 	if c.KeepAlive <= 0 {
 		c.KeepAlive = defaultKeepAlive
@@ -106,10 +101,15 @@ type Gateway struct {
 	wg sync.WaitGroup
 
 	// counters surfaced by /stats.
-	sseActive       atomic.Int64
-	sseStreams      atomic.Int64
-	sseResumed      atomic.Int64
-	sseEvents       atomic.Int64
+	sseActive  atomic.Int64
+	sseStreams atomic.Int64
+	sseResumed atomic.Int64
+	sseEvents  atomic.Int64
+	// sseWrites counts coalesced data writes and sseWakeups the pump
+	// wakes that led to them: events/writes is the coalescing ratio, and
+	// an idle stream adds to neither.
+	sseWrites       atomic.Int64
+	sseWakeups      atomic.Int64
 	slowDisconnects atomic.Int64
 	published       atomic.Int64
 	publishBatches  atomic.Int64
@@ -318,6 +318,8 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 			"sse_streams_total": g.sseStreams.Load(),
 			"sse_resumed_total": g.sseResumed.Load(),
 			"sse_events_sent":   g.sseEvents.Load(),
+			"sse_writes":        g.sseWrites.Load(),
+			"sse_wakeups":       g.sseWakeups.Load(),
 			"slow_disconnects":  g.slowDisconnects.Load(),
 			"published":         g.published.Load(),
 			"publish_batches":   g.publishBatches.Load(),

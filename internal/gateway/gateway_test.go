@@ -17,12 +17,11 @@ import (
 	"repro/internal/core"
 )
 
-// testGateway builds a broker + gateway + test server tuned for fast
-// tests (tight flush cadence).
+// testGateway builds a broker + gateway + test server.
 func testGateway(t *testing.T, mut func(*Config)) (*core.Broker, *Gateway, *httptest.Server) {
 	t.Helper()
 	b := core.NewBroker()
-	cfg := Config{Broker: b, FlushInterval: 2 * time.Millisecond}
+	cfg := Config{Broker: b}
 	if mut != nil {
 		mut(&cfg)
 	}
@@ -283,13 +282,12 @@ func TestSSESubscribeWildcardAndRetainedReplay(t *testing.T) {
 }
 
 func TestSSESlowConsumerDisconnect(t *testing.T) {
-	b, g, srv := testGateway(t, func(c *Config) {
-		// Slow cadence so the publish burst lands between polls.
-		c.FlushInterval = 40 * time.Millisecond
-	})
+	b, g, srv := testGateway(t, nil)
 	s := subscribeSSE(t, srv, "burst/#", map[string]string{"buffer": "2"})
 
-	// Wait until the subscription is registered, then overwhelm it.
+	// Wait until the subscription is registered, then overwhelm it: the
+	// pump is woken after the whole batch has fanned out, so its first
+	// look at the mailbox already sees 98 drops.
 	waitFor(t, func() bool { return b.Stats().Subscriptions == 1 })
 	msgs := make([]core.Message, 100)
 	for i := range msgs {
@@ -553,8 +551,8 @@ func TestShutdownDisconnectsSSE(t *testing.T) {
 	}
 }
 
-// waitFor polls a condition with a deadline; the gateway's pump runs on
-// its own cadence, so tests synchronize on observable state.
+// waitFor polls a condition with a deadline; the gateway's pumps run on
+// their own goroutines, so tests synchronize on observable state.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

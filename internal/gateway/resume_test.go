@@ -27,6 +27,14 @@ func newSSEScanner(r io.Reader) *bufio.Scanner {
 // (the durable configuration the resume path needs).
 func durableGateway(t *testing.T, dir string, mut func(*Config)) (*core.Broker, *httptest.Server) {
 	t.Helper()
+	b, _, srv := durableGatewayG(t, dir, mut)
+	return b, srv
+}
+
+// durableGatewayG is durableGateway for tests that also read the
+// gateway's counters.
+func durableGatewayG(t *testing.T, dir string, mut func(*Config)) (*core.Broker, *Gateway, *httptest.Server) {
+	t.Helper()
 	l, err := eventlog.Open(eventlog.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +44,7 @@ func durableGateway(t *testing.T, dir string, mut func(*Config)) (*core.Broker, 
 	if _, err := b.AttachLog(l); err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Broker: b, FlushInterval: 2 * time.Millisecond}
+	cfg := Config{Broker: b}
 	if mut != nil {
 		mut(&cfg)
 	}
@@ -47,7 +55,7 @@ func durableGateway(t *testing.T, dir string, mut func(*Config)) (*core.Broker, 
 	srv := httptest.NewServer(g)
 	t.Cleanup(srv.Close)
 	t.Cleanup(func() { _ = g.Close() })
-	return b, srv
+	return b, g, srv
 }
 
 // resumeSSE opens an SSE stream with a Last-Event-ID header and/or extra
@@ -181,7 +189,7 @@ func TestResumeAcrossRestart(t *testing.T) {
 		if _, err := b.AttachLog(l); err != nil {
 			t.Fatal(err)
 		}
-		g, err := New(Config{Broker: b, FlushInterval: 2 * time.Millisecond})
+		g, err := New(Config{Broker: b})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +315,7 @@ func TestShutdownDuringCatchUp(t *testing.T) {
 	if _, err := b.AttachLog(l); err != nil {
 		t.Fatal(err)
 	}
-	g, err := New(Config{Broker: b, FlushInterval: 2 * time.Millisecond, WriteTimeout: 300 * time.Millisecond})
+	g, err := New(Config{Broker: b, WriteTimeout: 300 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

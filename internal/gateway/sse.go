@@ -13,12 +13,14 @@ import (
 	"repro/internal/core"
 )
 
-// Sentinels distinguishing why a log catch-up stopped: the client's
-// write failed (stream is dead, say nothing) vs. the stream or gateway
-// context ended vs. a persistent replay failure (tell the client).
+// Sentinels for why a stream's drain stopped it: the client's write
+// failed (the stream is dead, say nothing), the request or gateway
+// context ended, or the consumer fell too far behind its queue. Any
+// other error is a persistent log replay failure (tell the client).
 var (
 	errClientGone   = errors.New("gateway: client write failed")
 	errStreamClosed = errors.New("gateway: stream context ended")
+	errSlowConsumer = errors.New("gateway: subscription dropped past the limit")
 )
 
 // handleSubscribe streams matching messages to the client as
@@ -29,16 +31,16 @@ var (
 // EventSource sends it automatically) or an explicit ?from=<offset>
 // (inclusive).
 //
-// Two delivery modes share the endpoint:
+// Two delivery sources share the endpoint and the one pump loop:
 //
-//   - A fresh subscription is backed by a bounded broker queue, so
-//     wildcard matching, retained replay and QoS drop accounting are
-//     exactly the in-process semantics. A client whose subscription
-//     drops more than the configured limit is disconnected with a
-//     terminal "goodbye" event (slow-consumer eviction).
+//   - A fresh subscription is backed by a bounded broker queue
+//     (liveSource), so wildcard matching, retained replay and QoS drop
+//     accounting are exactly the in-process semantics. A client whose
+//     subscription drops more than the configured limit is disconnected
+//     with a terminal "goodbye" event (slow-consumer eviction).
 //
 //   - A resuming client on a durable broker is served straight from the
-//     event log (tailLog): history first, then the advancing tail, in
+//     event log (tailSource): history first, then the advancing tail, in
 //     strict offset order, each event exactly once. There is no queue
 //     to overflow, so backlog lives on disk and slow consumers are
 //     never evicted — only a transport-stalled client is cut, by the
@@ -51,7 +53,7 @@ var (
 //
 //	event: message   data: Envelope JSON        (id: = durable offset)
 //	event: goodbye   data: {"reason", "dropped"} (terminal, no id)
-//	: keep-alive                                 (comment heartbeat)
+//	: keep-alive                                 (comment heartbeat, idle streams only)
 func (g *Gateway) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	pattern := r.URL.Query().Get("pattern")
 	if pattern == "" {
@@ -129,21 +131,11 @@ func (g *Gateway) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		if next := g.cfg.Broker.NextOffset(); after >= next {
 			after = next - 1
 		}
-	}
-
-	// Per-write deadlines: a transport-stalled client (dead laptop, NAT
-	// half-open) must fail its write and unwind the pump rather than
-	// block it forever — a global server WriteTimeout can't be used on
-	// an endless stream. SetWriteDeadline errors (unsupported writer)
-	// are ignored; writes then simply have no deadline, as before.
-	rc := http.NewResponseController(w)
-	deadline := func() { _ = rc.SetWriteDeadline(time.Now().Add(g.cfg.WriteTimeout)) }
-
-	if resume {
 		g.sseResumed.Add(1)
 	}
+	st := &stream{g: g, w: w, r: r, fl: fl, rc: http.NewResponseController(w)}
 	if resume && g.cfg.Broker.Log() != nil {
-		g.tailLog(w, r, fl, deadline, pattern, after)
+		g.pump(st, &tailSource{b: g.cfg.Broker, pattern: pattern, scanCursor: after + 1, lastSent: after})
 		return
 	}
 
@@ -153,254 +145,303 @@ func (g *Gateway) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer g.cfg.Broker.Unsubscribe(sub)
-	// Retained replay happens inside Subscribe; a catalogue larger than
-	// the client's buffer overflows it before the client had any chance
-	// to read. Those drops are the replay's, not the consumer's — only
-	// drops beyond this baseline count toward eviction.
-	replayDropped := sub.Dropped()
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Accel-Buffering", "no")
-	deadline()
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
-	g.sseStreams.Add(1)
-	g.sseActive.Add(1)
-	defer g.sseActive.Add(-1)
-
-	flush := time.NewTicker(g.cfg.FlushInterval)
-	defer flush.Stop()
-	keepAlive := time.NewTicker(g.cfg.KeepAlive)
-	defer keepAlive.Stop()
-
-	var frames net.Buffers
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-g.ctx.Done():
-			deadline()
-			g.writeGoodbye(w, fl, "shutdown", sub.Dropped())
-			return
-		case <-keepAlive.C:
-			deadline()
-			if _, err := fmt.Fprint(w, ": keep-alive\n\n"); err != nil {
-				return
-			}
-			fl.Flush()
-		case <-flush.C:
-			// Evict before draining: a consumer that has already lost
-			// dropLimit messages is not keeping up, and the backlog we
-			// would write next is exactly what it failed to absorb.
-			// The goodbye reports live-stream losses only, consistent
-			// with the threshold. (On a durable broker the evicted
-			// client recovers the gap by reconnecting with
-			// Last-Event-ID — resumed streams are log-backed and never
-			// evicted.)
-			if dropped := sub.Dropped() - replayDropped; dropped >= dropLimit {
-				g.slowDisconnects.Add(1)
-				deadline()
-				g.writeGoodbye(w, fl, "slow-consumer", dropped)
-				return
-			}
-			// Coalesce the whole drain into one write and one flush:
-			// the queue empties per wakeup anyway, so per-message
-			// write/flush cycles only buy chunked-transfer overhead and
-			// syscalls per event instead of per drain.
-			frames = frames[:0]
-			for _, m := range sub.Poll(0) {
-				// Best-effort resume without a log: suppress events the
-				// client already saw; history itself is gone.
-				if resume && m.Offset <= after {
-					continue
-				}
-				frames = append(frames, messageFrame(m))
-			}
-			if len(frames) == 0 {
-				continue
-			}
-			deadline()
-			n := len(frames)
-			if err := writeFrames(w, frames); err != nil {
-				return
-			}
-			g.sseEvents.Add(int64(n))
-			fl.Flush()
-		}
-	}
+	g.pump(st, &liveSource{sub: sub, replayDropped: sub.Dropped(), dropLimit: dropLimit, after: after})
 }
 
-// tailLog serves a resuming client directly from the event log: no
-// broker queue at all. The log totally orders delivery by offset, so
-// the stream cannot miss, duplicate, or reorder events — not even when
-// racing publishers offer queue messages out of offset order, or when
-// the client reads slower than the world publishes (the backlog lives
-// on disk, not in a bounded buffer). Each flush tick extends the scan
-// from the cursor; an idle tick costs one offset comparison.
-func (g *Gateway) tailLog(w http.ResponseWriter, r *http.Request, fl http.Flusher, deadline func(), pattern string, after uint64) {
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Accel-Buffering", "no")
-	deadline()
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
+// stream is one SSE response being written: the client side of the
+// pump, shared by both sources.
+type stream struct {
+	g  *Gateway
+	w  http.ResponseWriter
+	r  *http.Request
+	fl http.Flusher
+	rc *http.ResponseController
+	// frames is the drain's reusable batch; wrote reports a data write
+	// since the pump last looked, which pushes the keep-alive back.
+	frames net.Buffers
+	wrote  bool
+}
 
-	g.sseStreams.Add(1)
-	g.sseActive.Add(1)
-	defer g.sseActive.Add(-1)
+// deadline arms the per-write deadline: a transport-stalled client (dead
+// laptop, NAT half-open) must fail its write and unwind the pump rather
+// than block it forever — a global server WriteTimeout can't be used on
+// an endless stream. SetWriteDeadline errors (unsupported writer) are
+// ignored; writes then simply have no deadline.
+func (st *stream) deadline() {
+	_ = st.rc.SetWriteDeadline(time.Now().Add(st.g.cfg.WriteTimeout))
+}
 
-	scanCursor, lastSent := after+1, after
-	var err error
-	scanCursor, lastSent, err = g.catchUp(w, r, fl, deadline, pattern, scanCursor, lastSent)
+// closed reports whether the request or the gateway has ended.
+func (st *stream) closed() bool {
+	return st.r.Context().Err() != nil || st.g.ctx.Err() != nil
+}
+
+// flush writes st.frames as one client write and one Flush, and empties
+// the batch: a drain empties its source per wake anyway, so per-message
+// write/flush cycles would only buy chunked-transfer overhead and
+// syscalls per event instead of per drain.
+func (st *stream) flush() error {
+	n := len(st.frames)
+	if n == 0 {
+		return nil
+	}
+	st.deadline()
+	err := writeFrames(st.w, st.frames)
+	st.frames = st.frames[:0]
 	if err != nil {
-		g.endTail(w, fl, deadline, err)
-		return
+		return errClientGone
 	}
-
-	flush := time.NewTicker(g.cfg.FlushInterval)
-	defer flush.Stop()
-	keepAlive := time.NewTicker(g.cfg.KeepAlive)
-	defer keepAlive.Stop()
-
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-g.ctx.Done():
-			deadline()
-			g.writeGoodbye(w, fl, "shutdown", 0)
-			return
-		case <-keepAlive.C:
-			deadline()
-			if _, err := fmt.Fprint(w, ": keep-alive\n\n"); err != nil {
-				return
-			}
-			fl.Flush()
-		case <-flush.C:
-			if g.cfg.Broker.NextOffset() <= scanCursor {
-				continue
-			}
-			scanCursor, lastSent, err = g.catchUp(w, r, fl, deadline, pattern, scanCursor, lastSent)
-			if err != nil {
-				g.endTail(w, fl, deadline, err)
-				return
-			}
-		}
-	}
+	st.g.sseEvents.Add(int64(n))
+	st.g.sseWrites.Add(1)
+	st.fl.Flush()
+	st.wrote = true
+	return nil
 }
 
-// endTail closes a log-tail stream according to why it stopped: silence
-// for a dead client or a cancelled request, a shutdown goodbye when the
-// gateway is draining, and a replay-failed goodbye when the log itself
-// could not be read — the client knows to reconnect rather than wait.
-func (g *Gateway) endTail(w http.ResponseWriter, fl http.Flusher, deadline func(), err error) {
+// end closes the stream according to why it stopped: silence for a dead
+// client or a cancelled request, a shutdown goodbye when the gateway is
+// draining, an eviction notice for a slow consumer, and a replay-failed
+// goodbye when the log itself could not be read — the client knows to
+// reconnect rather than wait.
+func (st *stream) end(err error, dropped int) {
 	switch {
 	case errors.Is(err, errClientGone):
 	case errors.Is(err, errStreamClosed):
-		if g.ctx.Err() != nil {
-			deadline()
-			g.writeGoodbye(w, fl, "shutdown", 0)
+		if st.g.ctx.Err() != nil {
+			st.goodbye("shutdown", dropped)
 		}
+	case errors.Is(err, errSlowConsumer):
+		st.g.slowDisconnects.Add(1)
+		st.goodbye("slow-consumer", dropped)
 	default:
-		deadline()
-		g.writeGoodbye(w, fl, "replay-failed", 0)
+		st.goodbye("replay-failed", 0)
 	}
 }
 
-// catchUp streams logged history to the client: records with offset >
-// lastSent matching pattern, scanning from scanCursor, looping until
-// the replay reaches the (possibly still advancing) end of the log. It
-// returns the new scan cursor and dedupe cursor. A transient replay
-// error — compaction can remove a segment file between the scan's
-// snapshot and its open — retries with a fresh snapshot; only repeated
-// failure without progress is surfaced, so a recoverable race never
-// silently skips history. Client writes and both contexts are checked
-// per record, so shutdown cannot hang behind a long catch-up.
-func (g *Gateway) catchUp(w http.ResponseWriter, r *http.Request, fl http.Flusher, deadline func(), pattern string, scanCursor, lastSent uint64) (uint64, uint64, error) {
-	retries := 0
-	var frames net.Buffers
-	// flushFrames coalesces the batch into one client write and one
-	// Flush. lastSent has already advanced past every queued frame, so
-	// the batch MUST drain before any retry decision — an unflushed
-	// frame plus a rescan would skip those records for good.
-	flushFrames := func() error {
-		if len(frames) == 0 {
-			return nil
-		}
-		n := len(frames)
-		deadline()
-		err := writeFrames(w, frames)
-		frames = frames[:0]
-		if err != nil {
-			return errClientGone
-		}
-		g.sseEvents.Add(int64(n))
-		fl.Flush()
-		return nil
+// goodbye emits the terminal event; errors are moot, the stream is
+// ending either way. Goodbyes carry no id: the SSE id is the resume
+// cursor, and a terminal notice must not disturb it.
+func (st *stream) goodbye(reason string, dropped int) {
+	switch reason {
+	case "shutdown":
+		st.g.goodbyeShutdown.Add(1)
+	case "slow-consumer":
+		st.g.goodbyeSlow.Add(1)
+	case "replay-failed":
+		st.g.goodbyeReplayFailed.Add(1)
 	}
+	st.deadline()
+	_ = writeEvent(st.w, "goodbye", map[string]any{
+		"reason":  reason,
+		"dropped": dropped,
+	}, 0)
+	st.fl.Flush()
+}
+
+// source is where a stream's events come from. The pump is the consumer
+// half of a wake protocol whose producer half is the broker's publish
+// path: the producer makes its events visible (enqueue, or log append)
+// and then signals without blocking; the consumer waits for the signal
+// and then drains everything visible. A signal is never lost — one
+// raised mid-drain is still pending when the pump waits again — though
+// it can be spurious (the drain it triggers finds that the previous one
+// already took the events), which costs one empty drain.
+type source interface {
+	// arm returns the signal to wait on: it fires once there is, or may
+	// be, something to drain — immediately if there already is.
+	arm() <-chan struct{}
+	// drain writes everything currently deliverable to st. A non-nil
+	// error ends the stream (see stream.end).
+	drain(st *stream) error
+	// dropped is the loss count a goodbye reports.
+	dropped() int
+}
+
+// fired is a signal that has already fired.
+var fired = func() <-chan struct{} {
+	ch := make(chan struct{})
+	close(ch)
+	return ch
+}()
+
+// pump is the one SSE delivery loop: headers, then arm → wait → drain,
+// woken by the source's signal, the two contexts, or — on an idle stream
+// only — the keep-alive. Nothing on the publish→deliver path is timed:
+// an event goes out as soon as this goroutine runs, whatever arrived
+// while the previous write was in flight goes out in the next one, and
+// an idle stream costs no wakeups at all.
+func (g *Gateway) pump(st *stream, src source) {
+	h := st.w.Header()
+	h.Set("Content-Type", "text/event-stream")
+	h.Set("Cache-Control", "no-cache")
+	h.Set("X-Accel-Buffering", "no")
+	st.deadline()
+	st.w.WriteHeader(http.StatusOK)
+	st.fl.Flush()
+
+	g.sseStreams.Add(1)
+	g.sseActive.Add(1)
+	defer g.sseActive.Add(-1)
+
+	keepAlive := time.NewTimer(g.cfg.KeepAlive)
+	defer keepAlive.Stop()
 	for {
-		if r.Context().Err() != nil || g.ctx.Err() != nil {
-			return scanCursor, lastSent, errStreamClosed
+		select {
+		case <-st.r.Context().Done():
+			return
+		case <-g.ctx.Done():
+			st.goodbye("shutdown", src.dropped())
+			return
+		case <-keepAlive.C:
+			st.deadline()
+			if _, err := fmt.Fprint(st.w, ": keep-alive\n\n"); err != nil {
+				return
+			}
+			st.fl.Flush()
+			keepAlive.Reset(g.cfg.KeepAlive)
+			continue
+		case <-src.arm():
+			g.sseWakeups.Add(1)
+		}
+		if err := src.drain(st); err != nil {
+			st.end(err, src.dropped())
+			return
+		}
+		if st.wrote {
+			// Data is its own heartbeat: only KeepAlive of silence earns
+			// a comment. The pump is the timer channel's only reader, so
+			// a non-blocking receive clears a fire that raced the write.
+			st.wrote = false
+			if !keepAlive.Stop() {
+				select {
+				case <-keepAlive.C:
+				default:
+				}
+			}
+			keepAlive.Reset(g.cfg.KeepAlive)
+		}
+	}
+}
+
+// liveSource delivers from a bounded broker mailbox: at most once, in
+// the order the mailbox received it, evicting a consumer that lets the
+// mailbox overflow.
+type liveSource struct {
+	sub *core.Subscription
+	// replayDropped is the drop count right after Subscribe. Retained
+	// replay happens inside Subscribe; a catalogue larger than the
+	// client's buffer overflows it before the client had any chance to
+	// read. Those drops are the replay's, not the consumer's.
+	replayDropped int
+	dropLimit     int
+	// after suppresses offsets the client already saw on a best-effort
+	// resume without a log (0 = deliver everything); history itself is
+	// gone.
+	after uint64
+}
+
+func (s *liveSource) arm() <-chan struct{} { return s.sub.Ready() }
+
+// dropped reports live-stream losses only, consistent with the eviction
+// threshold.
+func (s *liveSource) dropped() int { return s.sub.Dropped() - s.replayDropped }
+
+func (s *liveSource) drain(st *stream) error {
+	// Evict before draining: a consumer that has already lost dropLimit
+	// messages is not keeping up, and the backlog we would write next is
+	// exactly what it failed to absorb. (On a durable broker the evicted
+	// client recovers the gap by reconnecting with Last-Event-ID —
+	// resumed streams are log-backed and never evicted.)
+	if s.dropped() >= s.dropLimit {
+		return errSlowConsumer
+	}
+	for _, m := range s.sub.Poll(0) {
+		if m.Offset > s.after {
+			st.frames = append(st.frames, messageFrame(m))
+		}
+	}
+	return st.flush()
+}
+
+// tailSource delivers straight from the event log: no broker queue at
+// all. The log totally orders delivery by offset, so the stream cannot
+// miss, duplicate, or reorder events — not even when racing publishers
+// offer queue messages out of offset order, or when the client reads
+// slower than the world publishes (the backlog lives on disk, not in a
+// bounded buffer). Each commit wakes the parked stream for one scan to
+// the then-current end; commits that land during it are covered by that
+// scan or the next, so wakes coalesce under load.
+type tailSource struct {
+	b       *core.Broker
+	pattern string
+	// scanCursor is the next offset to scan from; lastSent the highest
+	// offset written to the client (a retried scan re-reads records).
+	scanCursor, lastSent uint64
+}
+
+// arm takes the commit signal first and compares offsets second, the
+// order CommitSignal requires: history behind the cursor at connect, or
+// a commit that landed since the last scan's snapshot, fires at once.
+func (s *tailSource) arm() <-chan struct{} {
+	commit := s.b.CommitSignal()
+	if s.b.NextOffset() > s.scanCursor {
+		return fired
+	}
+	return commit
+}
+
+func (s *tailSource) dropped() int { return 0 }
+
+// drain streams one scan of the log to the client: records with offset
+// > lastSent matching pattern, from scanCursor to the log's end at scan
+// time. A transient replay error — compaction can remove a segment file
+// between the scan's snapshot and its open — retries with a fresh
+// snapshot; only repeated failure without progress is surfaced, so a
+// recoverable race never silently skips history. Client writes and both
+// contexts are checked per record, so shutdown cannot hang behind a
+// long catch-up.
+func (s *tailSource) drain(st *stream) error {
+	for retries := 0; ; {
+		if st.closed() {
+			return errStreamClosed
 		}
 		wrote := 0
-		next, err := g.cfg.Broker.ReplayFrom(scanCursor, pattern, func(m core.Message) error {
-			if r.Context().Err() != nil || g.ctx.Err() != nil {
+		next, err := s.b.ReplayFrom(s.scanCursor, s.pattern, func(m core.Message) error {
+			if st.closed() {
 				return errStreamClosed
 			}
 			// A retried scan re-reads delivered records; skip them.
-			if m.Offset <= lastSent {
+			if m.Offset <= s.lastSent {
 				return nil
 			}
-			frames = append(frames, messageFrame(m))
-			lastSent = m.Offset
+			st.frames = append(st.frames, messageFrame(m))
+			s.lastSent = m.Offset
 			wrote++
-			if len(frames) >= catchUpBatch {
-				return flushFrames()
+			if len(st.frames) >= catchUpBatch {
+				return st.flush()
 			}
 			return nil
 		})
-		if ferr := flushFrames(); ferr != nil {
-			return scanCursor, lastSent, ferr
+		// lastSent has already advanced past every queued frame, so the
+		// batch MUST drain before any retry decision — an unflushed frame
+		// plus a rescan would skip those records for good.
+		if ferr := st.flush(); ferr != nil {
+			return ferr
+		}
+		if err == nil {
+			s.scanCursor = next
+			return nil
+		}
+		if errors.Is(err, errClientGone) || errors.Is(err, errStreamClosed) {
+			return err
 		}
 		if wrote > 0 {
 			retries = 0
 		}
-		if err != nil {
-			if errors.Is(err, errClientGone) || errors.Is(err, errStreamClosed) {
-				return scanCursor, lastSent, err
-			}
-			retries++
-			if retries >= 3 {
-				return scanCursor, lastSent, err
-			}
-			continue
+		if retries++; retries >= 3 {
+			return err
 		}
-		if next <= scanCursor {
-			return next, lastSent, nil
-		}
-		scanCursor = next
 	}
-}
-
-// writeGoodbye emits the terminal event; errors are moot, the stream is
-// ending either way. Goodbyes carry no id: the SSE id is the resume
-// cursor, and a terminal notice must not disturb it.
-func (g *Gateway) writeGoodbye(w http.ResponseWriter, fl http.Flusher, reason string, dropped int) {
-	switch reason {
-	case "shutdown":
-		g.goodbyeShutdown.Add(1)
-	case "slow-consumer":
-		g.goodbyeSlow.Add(1)
-	case "replay-failed":
-		g.goodbyeReplayFailed.Add(1)
-	}
-	_ = writeEvent(w, "goodbye", map[string]any{
-		"reason":  reason,
-		"dropped": dropped,
-	}, 0)
-	fl.Flush()
 }
 
 // catchUpBatch bounds how many frames a log catch-up accumulates before

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestStressManySSESubscribers drives the gateway the way the ROADMAP
@@ -21,12 +20,10 @@ func TestStressManySSESubscribers(t *testing.T) {
 		slowClients = 5
 		batchSize   = 200
 	)
-	b, g, srv := testGateway(t, func(c *Config) {
-		// A deliberately lazy pump so the whole batch lands between two
-		// polls: fast clients absorb it (buffer > batch), slow clients
-		// (buffer 1) must drop nearly all of it.
-		c.FlushInterval = 25 * time.Millisecond
-	})
+	// Pumps are woken once the whole batch has fanned out: fast clients
+	// absorb it (buffer > batch), slow clients (buffer 1) have dropped
+	// nearly all of it by the time they look.
+	b, g, srv := testGateway(t, nil)
 
 	var wg sync.WaitGroup
 	fastGot := make([][]Envelope, fastClients)

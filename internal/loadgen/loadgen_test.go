@@ -136,7 +136,7 @@ func TestBucketBounds(t *testing.T) {
 // startTestServer runs the harness server stack on fresh dirs.
 func startTestServer(t *testing.T, logDir, graphDir string) (*Server, *httptest.Server) {
 	t.Helper()
-	s, err := NewServer(ServerConfig{LogDir: logDir, GraphDir: graphDir, FlushInterval: 2 * time.Millisecond})
+	s, err := NewServer(ServerConfig{LogDir: logDir, GraphDir: graphDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,10 +245,19 @@ func TestServerRecoveryConvergesGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	// Replay re-materializes every logged bulletin; set semantics keep
-	// the triple count at parity.
-	if got := s2.MaterializedBulletins(); got != bulletins {
-		t.Fatalf("recovered materializations %d, want %d", got, bulletins)
+	// Replay re-materializes every logged bulletin, and the live handler
+	// subscription then receives the retained bulletin of each district
+	// once more (asynchronously — wait for the dispatcher before
+	// counting); set semantics keep the triple count at parity.
+	s2.Broker.DrainDispatch()
+	retained := int64(0)
+	for _, d := range DefaultDistricts {
+		if _, ok := s2.Broker.Retained("bulletin/" + d); ok {
+			retained++
+		}
+	}
+	if got := s2.MaterializedBulletins(); got != bulletins+retained {
+		t.Fatalf("recovered materializations %d, want %d logged + %d retained", got, bulletins, retained)
 	}
 	if got, want := s2.Store.Graph().Len(), int(bulletins)*BulletinTriples; got != want {
 		t.Fatalf("recovered graph: %d triples, want %d", got, want)

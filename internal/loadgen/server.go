@@ -40,8 +40,6 @@ type ServerConfig struct {
 	LogDir string
 	// GraphDir is the persistent bulletin-graph directory (required).
 	GraphDir string
-	// FlushInterval tunes the gateway SSE pump (0 = gateway default).
-	FlushInterval time.Duration
 	// DefaultBuffer / MaxBuffer tune SSE queue capacities (0 = gateway
 	// defaults).
 	DefaultBuffer int
@@ -137,7 +135,6 @@ func NewServer(cfg ServerConfig) (srv *Server, err error) {
 
 	gw, err := gateway.New(gateway.Config{
 		Broker:        broker,
-		FlushInterval: cfg.FlushInterval,
 		DefaultBuffer: cfg.DefaultBuffer,
 		MaxBuffer:     cfg.MaxBuffer,
 		Extra: func() map[string]any {
