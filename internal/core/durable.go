@@ -132,19 +132,6 @@ func (b *Broker) ReplayFrom(from uint64, pattern string, fn func(Message) error)
 	})
 }
 
-// SubscribeLive is Subscribe without the retained-topic replay: the
-// subscription sees only messages published after the call. Resuming
-// consumers (the gateway's Last-Event-ID path) use it so history comes
-// solely from ReplayFrom, in offset order, without retained duplicates.
-func (b *Broker) SubscribeLive(pattern string, capacity int, policy DropPolicy) (*Subscription, error) {
-	if err := ValidatePattern(pattern); err != nil {
-		return nil, err
-	}
-	sub := newSubscription(pattern, capacity, policy)
-	sub.ID = b.registerEntry(pattern, sub)
-	return sub, nil
-}
-
 // messageOf converts a durable record back to a message. Payloads decode
 // to generic JSON values (maps, slices, numbers) — replayed history
 // interoperates structurally, not by Go type, exactly like messages

@@ -226,30 +226,6 @@ func TestReplayFromPatternAndCursor(t *testing.T) {
 	}
 }
 
-func TestSubscribeLiveSkipsRetained(t *testing.T) {
-	b := NewBroker()
-	publishSeq(t, b, 4)
-	live, err := b.SubscribeLive("obs/#", 16, DropOldest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := live.Poll(0); len(got) != 0 {
-		t.Fatalf("SubscribeLive replayed %d retained messages", len(got))
-	}
-	publishSeq(t, b, 1)
-	if got := live.Poll(0); len(got) != 1 || got[0].Offset != 5 {
-		t.Fatalf("live delivery %v", got)
-	}
-	// And it participates in stats/unsubscribe like any subscription.
-	if st := b.Stats(); st.Subscriptions != 1 {
-		t.Fatalf("subscriptions %d, want 1", st.Subscriptions)
-	}
-	b.Unsubscribe(live)
-	if st := b.Stats(); st.Subscriptions != 0 {
-		t.Fatalf("subscriptions %d after unsubscribe", st.Subscriptions)
-	}
-}
-
 func TestPublishBatchWriteThrough(t *testing.T) {
 	dir := t.TempDir()
 	b, l, _ := durableBroker(t, dir)

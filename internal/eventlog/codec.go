@@ -7,20 +7,16 @@ import (
 	"time"
 )
 
-// Record wire formats.
+// Record wire format.
 //
-// Every segment file is a sequence of frames `[len u32][crc32c u32][body]`
-// (little-endian, CRC over the body). What the body is depends on the
-// segment's format version:
+// Every segment file starts with the 8-byte magic "DEWSEG2\n" followed by
+// a sequence of frames `[len u32][crc32c u32][body]` (little-endian, CRC
+// over the body). The body is the compact binary layout below — no
+// reflection on either side of the disk, and the encoder runs in a reused
+// buffer so an append does no per-record heap allocation beyond growing
+// that buffer.
 //
-//   - v1 (headerless segment, written by earlier releases): the body is
-//     the Record marshaled as JSON.
-//   - v2 (segment starts with the 8-byte magic "DEWSEG2\n"): the body is
-//     the compact binary layout below — no reflection on either side of
-//     the disk, and the encoder runs in a reused buffer so an append does
-//     no per-record heap allocation beyond growing that buffer.
-//
-// v2 body layout (fixed fields little-endian, lengths uvarint):
+// Body layout (fixed fields little-endian, lengths uvarint):
 //
 //	offset   u64
 //	unixSec  i64     time seconds since epoch
@@ -30,20 +26,12 @@ import (
 //	paylLen  uvarint, payload bytes (raw JSON)
 //	hdrCount uvarint, then per header: keyLen uvarint, key, valLen uvarint, val
 //
-// The version is a property of the segment, not of the record: a log
-// directory may hold v1 and v2 segments side by side (an upgraded
-// deployment), and the read path picks the decoder per segment. New
-// segments are always v2; opening a log whose active tail is v1 seals
-// that tail and starts a fresh v2 segment, so appends never mix formats
-// within one file.
+// A segment that does not start with the magic is not read at all: Open
+// fails on it (see scanSegment), except for a tail shorter than the magic,
+// which is what a crash between creating a segment and its header reaching
+// disk leaves behind.
 const (
-	segVersionV1 = 1
-	segVersionV2 = 2
-
-	// segHeaderLen is the v2 segment header length; v1 segments have no
-	// header. The magic's first four bytes read as a little-endian u32
-	// are ~1.3GiB — far beyond maxRecordBytes — so a v1 frame header can
-	// never be mistaken for it.
+	// segHeaderLen is the segment header (magic) length.
 	segHeaderLen = 8
 
 	recordV2Fixed = 8 + 8 + 4 + 4
@@ -186,18 +174,6 @@ func (d *decoder) decodeRecordV2(body []byte, rec *Record) error {
 	}
 	if at != len(body) {
 		return fmt.Errorf("eventlog: v2 record has %d trailing bytes", len(body)-at)
-	}
-	return nil
-}
-
-// decodeRecord dispatches on the segment format version.
-func (d *decoder) decodeRecord(version uint8, body []byte, rec *Record) error {
-	if version == segVersionV2 {
-		return d.decodeRecordV2(body, rec)
-	}
-	*rec = Record{}
-	if err := json.Unmarshal(body, rec); err != nil {
-		return fmt.Errorf("eventlog: undecodable v1 record: %w", err)
 	}
 	return nil
 }

@@ -4,66 +4,17 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
-
-// v1Frame renders one record as a v1 (JSON body) frame, exactly the
-// format the PR 3 codec wrote.
-func v1Frame(t testing.TB, rec Record) []byte {
-	t.Helper()
-	body, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatalf("v1 encode: %v", err)
-	}
-	frame := make([]byte, frameHeader+len(body))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(body, castagnoli))
-	copy(frame[frameHeader:], body)
-	return frame
-}
-
-// writeV1Log lays a v1-era log directory on disk: headerless segments of
-// JSON frames, perSeg records each, offsets assigned from 1. It returns
-// the records as written (offsets stamped).
-func writeV1Log(t testing.TB, dir string, recs []Record, perSeg int) []Record {
-	t.Helper()
-	out := make([]Record, len(recs))
-	var buf []byte
-	base := uint64(1)
-	for start := 0; start < len(recs); start += perSeg {
-		end := start + perSeg
-		if end > len(recs) {
-			end = len(recs)
-		}
-		buf = buf[:0]
-		for i := start; i < end; i++ {
-			rec := recs[i]
-			rec.Offset = uint64(i + 1)
-			out[i] = rec
-			buf = append(buf, v1Frame(t, rec)...)
-		}
-		path := filepath.Join(dir, fmt.Sprintf("%020d%s", base, segSuffix))
-		if err := os.WriteFile(path, buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		base = uint64(end + 1)
-	}
-	return out
-}
 
 func testRecords(n, withHeaders int) []Record {
 	recs := make([]Record, n)
 	for i := range recs {
 		recs[i] = Record{
-			Topic: fmt.Sprintf("obs/d%d/Rainfall", i%3),
-			Time:  time.Date(2015, 1, 1, 0, 0, i, 0, time.UTC),
-			// Compact JSON: marshaling a v1 frame compacts embedded raw
-			// messages, and replay returns the stored (compact) bytes.
+			Topic:   fmt.Sprintf("obs/d%d/Rainfall", i%3),
+			Time:    time.Date(2015, 1, 1, 0, 0, i, 0, time.UTC),
 			Payload: json.RawMessage(fmt.Sprintf(`{"value":%d}`, i)),
 		}
 		if i%withHeaders == 0 {
@@ -90,173 +41,6 @@ func sameRecord(got, want Record) bool {
 		}
 	}
 	return true
-}
-
-func readAll(t *testing.T, l *Log) []Record {
-	t.Helper()
-	recs, _, err := l.Read(0, 0)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	return recs
-}
-
-// TestV1LogMigration is the acceptance test for the codec upgrade: a
-// directory written entirely by the v1 (JSON) codec opens with the v2
-// code, replays identically to a never-migrated run, accepts new (v2)
-// appends, and survives a reopen with both formats on disk.
-func TestV1LogMigration(t *testing.T) {
-	dir := t.TempDir()
-	want := writeV1Log(t, dir, testRecords(25, 4), 10) // 3 v1 segments
-
-	l := openT(t, dir, Config{})
-	if got := l.NextOffset(); got != 26 {
-		t.Fatalf("NextOffset after v1 open: %d, want 26", got)
-	}
-	got := readAll(t, l)
-	if len(got) != len(want) {
-		t.Fatalf("replayed %d v1 records, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if !sameRecord(got[i], want[i]) {
-			t.Fatalf("v1 record %d replayed as %+v, want %+v", i, got[i], want[i])
-		}
-	}
-
-	// New appends land in a fresh v2 segment, continuing the offsets.
-	appendN(t, l, 7, 25)
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The v1 segments were not rewritten; the new segment carries the v2
-	// header.
-	names, _ := filepath.Glob(filepath.Join(dir, "*"+segSuffix))
-	if len(names) != 4 {
-		t.Fatalf("segment count after migration: %d, want 4", len(names))
-	}
-	v2Count := 0
-	for _, name := range names {
-		head := make([]byte, segHeaderLen)
-		f, err := os.Open(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n, _ := f.Read(head)
-		f.Close()
-		if n == segHeaderLen && string(head) == string(segMagicV2[:]) {
-			v2Count++
-		}
-	}
-	if v2Count != 1 {
-		t.Fatalf("v2 segments on disk: %d, want exactly the new tail", v2Count)
-	}
-
-	// Mixed-version recovery: reopen and replay everything.
-	l = openT(t, dir, Config{})
-	defer l.Close()
-	if got := l.NextOffset(); got != 33 {
-		t.Fatalf("NextOffset after mixed reopen: %d, want 33", got)
-	}
-	all := readAll(t, l)
-	if len(all) != 32 {
-		t.Fatalf("mixed replay: %d records, want 32", len(all))
-	}
-	for i, rec := range all {
-		if rec.Offset != uint64(i+1) {
-			t.Fatalf("mixed replay record %d has offset %d", i, rec.Offset)
-		}
-	}
-	for i := range want {
-		if !sameRecord(all[i], want[i]) {
-			t.Fatalf("v1 record %d after mixed reopen: %+v, want %+v", i, all[i], want[i])
-		}
-	}
-}
-
-// TestV1EmptyTailRewrite: a v1-era directory whose tail segment is empty
-// (created, never written) is rewritten in place as a v2 segment rather
-// than sealed empty.
-func TestV1EmptyTailRewrite(t *testing.T) {
-	dir := t.TempDir()
-	writeV1Log(t, dir, testRecords(10, 3), 10)
-	empty := filepath.Join(dir, fmt.Sprintf("%020d%s", 11, segSuffix))
-	if err := os.WriteFile(empty, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	l := openT(t, dir, Config{})
-	defer l.Close()
-	if got := l.NextOffset(); got != 11 {
-		t.Fatalf("NextOffset: %d, want 11", got)
-	}
-	appendN(t, l, 3, 10)
-	if recs := readAll(t, l); len(recs) != 13 {
-		t.Fatalf("records after rewrite: %d, want 13", len(recs))
-	}
-	names, _ := filepath.Glob(filepath.Join(dir, "*"+segSuffix))
-	if len(names) != 2 {
-		t.Fatalf("segments: %d, want 2 (tail rewritten, not resealed)", len(names))
-	}
-}
-
-// TestV1TornTailMigration: a torn record at the end of a v1 tail is
-// truncated away on open, and appends resume in a v2 segment at the
-// reclaimed offset.
-func TestV1TornTailMigration(t *testing.T) {
-	dir := t.TempDir()
-	writeV1Log(t, dir, testRecords(12, 3), 12)
-	seg := filepath.Join(dir, fmt.Sprintf("%020d%s", 1, segSuffix))
-	info, err := os.Stat(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(seg, info.Size()-3); err != nil {
-		t.Fatal(err)
-	}
-
-	l := openT(t, dir, Config{})
-	defer l.Close()
-	if got := l.NextOffset(); got != 12 {
-		t.Fatalf("NextOffset after torn v1 tail: %d, want 12", got)
-	}
-	appendN(t, l, 2, 11)
-	recs := readAll(t, l)
-	if len(recs) != 13 {
-		t.Fatalf("records: %d, want 13", len(recs))
-	}
-	for i, rec := range recs {
-		if rec.Offset != uint64(i+1) {
-			t.Fatalf("record %d offset %d", i, rec.Offset)
-		}
-	}
-}
-
-// TestMixedVersionRetention: compaction drops sealed v1 segments under
-// byte pressure exactly like v2 ones, and the surviving history scans
-// cleanly across the version boundary.
-func TestMixedVersionRetention(t *testing.T) {
-	dir := t.TempDir()
-	writeV1Log(t, dir, testRecords(40, 5), 10) // 4 sealed v1 segments
-	l := openT(t, dir, Config{SegmentBytes: 1 << 20, RetainBytes: 2048})
-	defer l.Close()
-	appendN(t, l, 10, 40)
-	dropped, err := l.Compact()
-	if err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	if dropped == 0 {
-		t.Fatal("retention dropped nothing despite byte pressure")
-	}
-	st := l.Stats()
-	if st.OldestOffset == 1 {
-		t.Fatal("oldest offset did not advance")
-	}
-	recs := readAll(t, l)
-	if len(recs) == 0 || recs[0].Offset != st.OldestOffset || recs[len(recs)-1].Offset != 50 {
-		t.Fatalf("post-retention scan: %d records, first %d, oldest %d",
-			len(recs), recs[0].Offset, st.OldestOffset)
-	}
 }
 
 // TestEncodeDecodeRoundTrip drives the v2 codec over randomized records

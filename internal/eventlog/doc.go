@@ -9,9 +9,8 @@
 // so they double as resume cursors for streaming consumers (the gateway's
 // SSE Last-Event-ID rides on them).
 //
-// The record body format is versioned per segment (see codec.go): new
-// segments use the compact binary v2 codec — encoded into a pooled
-// buffer, decoded without reflection — while headerless v1 (JSON-era)
-// segments remain fully readable, so a log directory written by an
-// older release opens, replays and compacts unchanged.
+// Records use one on-disk format (see codec.go): every segment starts
+// with a magic header and holds compact binary record bodies, encoded
+// into a pooled buffer and decoded without reflection. A segment without
+// that header makes Open fail and is left as found.
 package eventlog

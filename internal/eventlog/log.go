@@ -47,21 +47,20 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Record is one durable event. Payload is raw JSON — the log stores the
 // wire form, not Go types, so a replayed payload decodes to generic
-// values exactly like a message published through the gateway. The JSON
-// tags are the v1 on-disk body format; v2 segments store the same fields
-// in the compact binary layout described in codec.go.
+// values exactly like a message published through the gateway. On disk a
+// record is the compact binary layout described in codec.go.
 type Record struct {
 	// Offset is the log-assigned dense sequence number (first record is
 	// offset 1). On Append the field is ignored and assigned.
-	Offset uint64 `json:"offset"`
+	Offset uint64
 	// Topic is the '/'-separated subject.
-	Topic string `json:"topic"`
+	Topic string
 	// Time is the event time of the payload.
-	Time time.Time `json:"time"`
+	Time time.Time
 	// Payload is the body as raw JSON.
-	Payload json.RawMessage `json:"payload,omitempty"`
+	Payload json.RawMessage
 	// Headers carries string metadata.
-	Headers map[string]string `json:"headers,omitempty"`
+	Headers map[string]string
 }
 
 // Config configures a Log.
@@ -132,9 +131,6 @@ type segment struct {
 	path  string
 	bytes int64
 	count int
-	// version is the record body format (segVersionV1 JSON, segVersionV2
-	// binary); new segments are always v2.
-	version uint8
 	// sealedAt is when the segment stopped being active (zero while
 	// active); retention-by-age measures from it.
 	sealedAt time.Time
@@ -195,11 +191,9 @@ func Open(cfg Config) (*Log, error) {
 }
 
 // load scans the directory, validates every segment, truncates a torn
-// tail on the last one, and opens the active segment for append. A log
-// written by a v1 (JSON codec) release migrates transparently: its
-// sealed segments stay v1 and readable, and its tail is either sealed
-// (when it holds records) or rewritten in place (when empty) so appends
-// always land in a v2 segment.
+// tail on the last one, and opens the active segment for append. A tail
+// shorter than the segment header (created, but the header never reached
+// disk) holds no record and is rewritten in place as an empty segment.
 func (l *Log) load() error {
 	names, err := filepath.Glob(filepath.Join(l.cfg.Dir, "*"+segSuffix))
 	if err != nil {
@@ -219,11 +213,10 @@ func (l *Log) load() error {
 	}
 	for i, seg := range l.segments {
 		last := i == len(l.segments)-1
-		version, count, good, err := scanSegment(seg.path, last)
+		count, good, err := scanSegment(seg.path, last)
 		if err != nil {
 			return err
 		}
-		seg.version = version
 		seg.count = count
 		seg.bytes = good
 		if info, err := os.Stat(seg.path); err == nil {
@@ -243,22 +236,12 @@ func (l *Log) load() error {
 	if err := f.Truncate(tail.bytes); err != nil {
 		return errors.Join(fmt.Errorf("eventlog: truncating torn tail of %s: %w", tail.path, err), f.Close())
 	}
-	if tail.version != segVersionV2 {
-		if tail.count > 0 {
-			// A v1 tail with records: leave it sealed as-is and start a
-			// fresh v2 segment for new appends — formats never mix
-			// within one file.
-			if err := f.Close(); err != nil {
-				return fmt.Errorf("eventlog: %w", err)
-			}
-			return l.startSegment(tail.end())
-		}
-		// An empty (or headerless torn) tail holds nothing to preserve:
-		// rewrite it in place as a v2 segment.
+	if tail.bytes == 0 {
+		// An empty or torn-header tail holds nothing to preserve: rewrite
+		// it in place as an empty segment.
 		if _, err := f.Write(segMagicV2[:]); err != nil {
-			return errors.Join(fmt.Errorf("eventlog: writing v2 header to %s: %w", tail.path, err), f.Close())
+			return errors.Join(fmt.Errorf("eventlog: writing header to %s: %w", tail.path, err), f.Close())
 		}
-		tail.version = segVersionV2
 		tail.bytes = segHeaderLen
 		l.dirty = true
 	} else if _, err := f.Seek(tail.bytes, io.SeekStart); err != nil {
@@ -270,48 +253,44 @@ func (l *Log) load() error {
 	return nil
 }
 
-// scanSegment sniffs a segment's format version and walks its frames,
-// returning the version, record count and byte length of the valid
-// prefix. A corrupt or incomplete frame is a truncation point when tail
-// is set (crash recovery keeps every complete record) and a hard error
-// otherwise: torn writes only ever happen at the end of the last
-// segment. Only frame integrity (length + CRC) is checked here — record
+// scanSegment checks a segment's header and walks its frames, returning
+// the record count and byte length of the valid prefix. A corrupt or
+// incomplete frame is a truncation point when tail is set (crash recovery
+// keeps every complete record) and a hard error otherwise: torn writes
+// only ever happen at the end of the last segment. A tail shorter than
+// the header is such a torn write and reports an empty prefix. A segment
+// that does not start with the header is an error and is never read or
+// truncated. Only frame integrity (length + CRC) is checked here — record
 // bodies are not decoded, so recovery cost is a sequential read.
-func scanSegment(path string, tail bool) (uint8, int, int64, error) {
+func scanSegment(path string, tail bool) (int, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, 0, 0, fmt.Errorf("eventlog: %w", err)
+		return 0, 0, fmt.Errorf("eventlog: %w", err)
 	}
 	defer f.Close() //dewsvet:wralerr-ok read-only handle; a close error cannot lose data
 	r := bufio.NewReaderSize(f, 64<<10)
 	var (
-		version = uint8(segVersionV1)
-		count   int
-		good    int64
-		header  [frameHeader]byte
-		body    []byte
+		count  int
+		good   int64 = segHeaderLen
+		header [frameHeader]byte
+		body   []byte
 	)
-	if head, err := r.Peek(segHeaderLen); err != nil {
-		// Fewer than 8 bytes total: an empty file is a valid (v1-era or
-		// just-created) empty segment; a 1..7-byte file is torn.
-		if len(head) == 0 {
-			return segVersionV1, 0, 0, nil
-		}
-		if !tail {
-			return 0, 0, 0, fmt.Errorf("eventlog: segment %s corrupt at byte 0", path)
-		}
-		return segVersionV1, 0, 0, nil
-	} else if bytes.Equal(head, segMagicV2[:]) {
-		version = segVersionV2
-		if _, err := r.Discard(segHeaderLen); err != nil {
-			return 0, 0, 0, fmt.Errorf("eventlog: %w", err)
-		}
-		good = segHeaderLen
+	head, err := r.Peek(segHeaderLen)
+	switch {
+	case err != nil && err != io.EOF:
+		return 0, 0, fmt.Errorf("eventlog: reading %s: %w", path, err)
+	case len(head) < segHeaderLen && tail:
+		return 0, 0, nil
+	case len(head) < segHeaderLen:
+		return 0, 0, fmt.Errorf("eventlog: segment %s corrupt at byte 0", path)
+	case !bytes.Equal(head, segMagicV2[:]):
+		return 0, 0, fmt.Errorf("eventlog: segment %s has no segment header (headerless v1 segments are no longer readable); left untouched", path)
 	}
+	_, _ = r.Discard(segHeaderLen) // cannot fail: Peek just buffered these bytes
 	for {
 		if _, err := io.ReadFull(r, header[:]); err != nil {
 			if err == io.EOF {
-				return version, count, good, nil
+				return count, good, nil
 			}
 			break // torn header
 		}
@@ -334,9 +313,9 @@ func scanSegment(path string, tail bool) (uint8, int, int64, error) {
 		good += frameHeader + int64(n)
 	}
 	if !tail {
-		return 0, 0, 0, fmt.Errorf("eventlog: segment %s corrupt at byte %d", path, good)
+		return 0, 0, fmt.Errorf("eventlog: segment %s corrupt at byte %d", path, good)
 	}
-	return version, count, good, nil
+	return count, good, nil
 }
 
 // startSegment creates and activates an empty v2 segment whose first
@@ -348,7 +327,7 @@ func (l *Log) startSegment(base uint64) error {
 	if err != nil {
 		return fmt.Errorf("eventlog: %w", err)
 	}
-	l.segments = append(l.segments, &segment{base: base, path: path, version: segVersionV2, bytes: segHeaderLen})
+	l.segments = append(l.segments, &segment{base: base, path: path, bytes: segHeaderLen})
 	l.active = f
 	if l.w == nil {
 		l.w = bufio.NewWriterSize(f, writeBufBytes)
@@ -408,7 +387,7 @@ func (l *Log) sealActive() error {
 	closeErr := l.active.Close()
 	tail.sealedAt = time.Now()
 	l.dirty = false
-	l.segments = append(l.segments, &segment{base: tail.end(), path: path, version: segVersionV2, bytes: segHeaderLen})
+	l.segments = append(l.segments, &segment{base: tail.end(), path: path, bytes: segHeaderLen})
 	l.active = f
 	l.w.Reset(f)
 	if _, err := l.w.Write(segMagicV2[:]); err != nil {
@@ -595,11 +574,10 @@ func (l *Log) oldestLocked() uint64 {
 
 // segView is an immutable snapshot of one segment's readable extent.
 type segView struct {
-	base    uint64
-	path    string
-	bytes   int64
-	count   int
-	version uint8
+	base  uint64
+	path  string
+	bytes int64
+	count int
 }
 
 // Scan streams records with offset >= from to fn, in offset order, up to
@@ -624,7 +602,7 @@ func (l *Log) Scan(from uint64, fn func(Record) error) (uint64, error) {
 	}
 	views := make([]segView, 0, len(l.segments))
 	for _, seg := range l.segments {
-		views = append(views, segView{base: seg.base, path: seg.path, bytes: seg.bytes, count: seg.count, version: seg.version})
+		views = append(views, segView{base: seg.base, path: seg.path, bytes: seg.bytes, count: seg.count})
 	}
 	l.mu.Unlock()
 
@@ -641,11 +619,10 @@ func (l *Log) Scan(from uint64, fn func(Record) error) (uint64, error) {
 	return next, nil
 }
 
-// scanView reads one segment snapshot, calling fn for records >= from,
-// decoding bodies with the segment's format version. Reads are buffered,
-// and bodies below the cursor are skipped with Discard instead of
-// copied/checksummed — a tail catch-up pays for the gap, not for
-// re-decoding the whole segment.
+// scanView reads one segment snapshot, calling fn for records >= from.
+// Reads are buffered, and bodies below the cursor are skipped with
+// Discard instead of copied/checksummed — a tail catch-up pays for the
+// gap, not for re-decoding the whole segment.
 func scanView(dec *decoder, v segView, from uint64, fn func(Record) error) error {
 	f, err := os.Open(v.path)
 	if err != nil {
@@ -653,10 +630,8 @@ func scanView(dec *decoder, v segView, from uint64, fn func(Record) error) error
 	}
 	defer f.Close() //dewsvet:wralerr-ok read-only handle; a close error cannot lose data
 	r := bufio.NewReaderSize(io.LimitReader(f, v.bytes), 64<<10)
-	if v.version == segVersionV2 {
-		if _, err := r.Discard(segHeaderLen); err != nil {
-			return fmt.Errorf("eventlog: segment %s missing v2 header: %w", v.path, err)
-		}
+	if _, err := r.Discard(segHeaderLen); err != nil {
+		return fmt.Errorf("eventlog: segment %s missing header: %w", v.path, err)
 	}
 	var header [frameHeader]byte
 	var body []byte
@@ -686,7 +661,7 @@ func scanView(dec *decoder, v segView, from uint64, fn func(Record) error) error
 		if crc32.Checksum(body, castagnoli) != crc {
 			return fmt.Errorf("eventlog: segment %s CRC mismatch at offset %d", v.path, off)
 		}
-		if err := dec.decodeRecord(v.version, body, &rec); err != nil {
+		if err := dec.decodeRecordV2(body, &rec); err != nil {
 			return fmt.Errorf("eventlog: segment %s record at offset %d: %w", v.path, off, err)
 		}
 		if rec.Offset != off {

@@ -196,6 +196,117 @@ func TestCorruptTailRecovery(t *testing.T) {
 	}
 }
 
+// TestShortTailRewrite is the crash between creating a segment and its
+// header reaching disk: a tail of 0-7 bytes holds no record, so Open
+// rewrites it in place as an empty segment, appends continue at the
+// right offset, and a second reopen replays every record.
+func TestShortTailRewrite(t *testing.T) {
+	for size := 0; size < segHeaderLen; size++ {
+		t.Run(fmt.Sprintf("%d_bytes", size), func(t *testing.T) {
+			dir := t.TempDir()
+			l := openT(t, dir, Config{})
+			appendN(t, l, 10, 0)
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tail := filepath.Join(dir, fmt.Sprintf("%020d%s", 11, segSuffix))
+			if err := os.WriteFile(tail, segMagicV2[:size], 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			l = openT(t, dir, Config{})
+			if got := l.NextOffset(); got != 11 {
+				t.Fatalf("NextOffset over a %d-byte tail: %d, want 11", size, got)
+			}
+			appendN(t, l, 3, 10)
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := lastSegment(t, dir); got != tail {
+				t.Fatalf("appends went to %s, want the rewritten tail %s", got, tail)
+			}
+
+			l = openT(t, dir, Config{})
+			defer l.Close()
+			recs, next, err := l.Read(0, 0)
+			if err != nil || len(recs) != 13 || next != 14 {
+				t.Fatalf("second reopen: %d records next %d err %v, want 13 next 14", len(recs), next, err)
+			}
+			for i, rec := range recs {
+				if rec.Offset != uint64(i+1) || rec.Headers["k"] != fmt.Sprint(i) {
+					t.Fatalf("record %d after reopen: %+v", i, rec)
+				}
+			}
+		})
+	}
+}
+
+// writeHeaderless writes a segment file of n valid frames, offsets from
+// base, without the segment header: the layout of a v1-era segment.
+func writeHeaderless(t *testing.T, path string, base uint64, n int) []byte {
+	t.Helper()
+	var buf []byte
+	for i := 0; i < n; i++ {
+		start := len(buf)
+		var err error
+		buf, err = encodeFrame(buf, &Record{Topic: "obs/d0/Rainfall", Time: time.Unix(int64(i), 0), Payload: json.RawMessage(`{"value":1}`)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		patchFrame(buf[start:], base+uint64(i))
+	}
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// TestHeaderlessSegmentRefused: a segment holding frames but no header
+// is not this format. Open fails with an error naming the file, and the
+// file is neither read nor truncated, whether it is the tail or sealed.
+func TestHeaderlessSegmentRefused(t *testing.T) {
+	t.Run("tail", func(t *testing.T) {
+		dir := t.TempDir()
+		l := openT(t, dir, Config{})
+		appendN(t, l, 10, 0)
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("%020d%s", 11, segSuffix))
+		want := writeHeaderless(t, path, 11, 5)
+		assertRefused(t, dir, path, want)
+	})
+	t.Run("sealed", func(t *testing.T) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, fmt.Sprintf("%020d%s", 1, segSuffix))
+		want := writeHeaderless(t, path, 1, 5)
+		next := filepath.Join(dir, fmt.Sprintf("%020d%s", 6, segSuffix))
+		if err := os.WriteFile(next, segMagicV2[:], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		assertRefused(t, dir, path, want)
+	})
+}
+
+func assertRefused(t *testing.T, dir, path string, want []byte) {
+	t.Helper()
+	l, err := Open(Config{Dir: dir})
+	if err == nil {
+		l.Close()
+		t.Fatal("Open accepted a headerless segment")
+	}
+	if !strings.Contains(err.Error(), path) {
+		t.Fatalf("Open error %q does not name %s", err, path)
+	}
+	got, rerr := os.ReadFile(path)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("headerless segment changed: %d bytes, want %d", len(got), len(want))
+	}
+}
+
 func TestRetentionByBytes(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir, Config{SegmentBytes: 512, RetainBytes: 1024})

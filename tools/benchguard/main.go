@@ -1,5 +1,5 @@
-// Command benchguard compares `go test -bench` output against a
-// committed BENCH_pr*.json baseline and exits non-zero when any shared
+// Command benchguard compares `go test -bench` output against the
+// committed BENCH_micro.json baseline and exits non-zero when any shared
 // benchmark's ns/op regressed beyond the allowed percentage. CI runs it
 // after the hot-path benchmark smoke so a codec or broker change cannot
 // silently give back the performance this repo's perf PRs bought.
@@ -7,7 +7,7 @@
 // Usage:
 //
 //	go test -run xxx -bench ... -benchmem ./... > bench.out
-//	go run ./tools/benchguard -baseline BENCH_pr4.json -max-regress 25 bench.out
+//	go run ./tools/benchguard -baseline BENCH_micro.json -max-regress 25 bench.out
 //
 // Only benchmarks present in both the baseline and the output are
 // compared (the baseline also records experiment benchmarks the smoke
@@ -42,7 +42,6 @@ import (
 )
 
 type baseline struct {
-	PR         int    `json:"pr"`
 	Note       string `json:"note"`
 	Benchmarks []struct {
 		Pkg      string  `json:"pkg"`
@@ -172,7 +171,7 @@ func gateLoad(reportPath, baselinePath string, minFrac, maxRegress float64) {
 }
 
 func main() {
-	baselinePath := flag.String("baseline", "", "baseline BENCH_pr*.json (required unless -load)")
+	baselinePath := flag.String("baseline", "", "baseline BENCH_micro.json (required unless -load)")
 	maxRegress := flag.Float64("max-regress", 25, "fail when ns/op (or load throughput/p99) regresses more than this percentage")
 	loadPath := flag.String("load", "", "gate a cmd/dewsload BENCH_load report instead of bench output")
 	loadBaseline := flag.String("load-baseline", "", "committed dewsload report to compare -load against (same config)")
@@ -191,7 +190,7 @@ func main() {
 		return
 	}
 	if *baselinePath == "" || flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: benchguard -baseline BENCH_prN.json [-max-regress pct] bench.out...")
+		fmt.Fprintln(os.Stderr, "usage: benchguard -baseline BENCH_micro.json [-max-regress pct] bench.out...")
 		os.Exit(2)
 	}
 	raw, err := os.ReadFile(*baselinePath)
