@@ -10,9 +10,9 @@
 // Usage:
 //
 //	dews [-seed N] [-years N] [-train N] [-lead N] [-districts a,b,c]
-//	     [-nodes N] [-fetch-parallel N] [-gateway-buffer N] [-serve :8080]
+//	     [-nodes N] [-fetch-parallel N] [-serve :8080]
 //	     [-log-dir DIR] [-log-segment-bytes N] [-log-retain 720h]
-//	     [-graph-dir DIR] [-graph-checkpoint 15s] [-graph-checkpoint-frac 0.25]
+//	     [-graph-dir DIR] [-graph-checkpoint 15s]
 //	     [-pprof] [-pprof-mutex N] [-pprof-block N]
 //
 // With -log-dir the broker writes every published message through a
@@ -20,11 +20,12 @@
 // offset sequence, and SSE subscribers resume by offset (Last-Event-ID
 // or ?from=).
 //
-// With -graph-dir the semantic-web bulletin graph is durable too: every
-// bulletin's triples are committed through a graph write-ahead log and
-// periodically checkpointed into binary snapshot files, so a restart
-// reopens the full RDF graph (snapshot load + WAL tail replay) instead
-// of starting empty.
+// With -graph-dir (which requires -log-dir) the semantic-web bulletin
+// graph is durable too: every bulletin's triples are committed through a
+// graph write-ahead log and periodically checkpointed into binary
+// snapshot files, so a restart reopens the full RDF graph (snapshot load
+// + WAL tail replay), then repairs it against the event log, instead of
+// starting empty.
 package main
 
 import (
@@ -60,13 +61,11 @@ func run(args []string) error {
 		districts  = fs.String("districts", "", "comma-separated district slugs (default: all five)")
 		nodes      = fs.Int("nodes", 4, "sensor nodes per district")
 		fetchPar   = fs.Int("fetch-parallel", 0, "concurrent cloud-source downloads per ingest (0 = layer default, 1 = serial)")
-		gwBuffer   = fs.Int("gateway-buffer", 0, "default per-client SSE buffer of the subscription gateway (0 = gateway default)")
 		logDir     = fs.String("log-dir", "", "durable event log directory (empty = in-memory broker only)")
 		logSeg     = fs.Int64("log-segment-bytes", 0, "event log segment rotation size in bytes (0 = default 8MiB)")
 		logRetain  = fs.Duration("log-retain", 0, "drop sealed log segments older than this (0 = keep forever)")
-		graphDir   = fs.String("graph-dir", "", "durable semantic-web graph directory (empty = in-memory graph only)")
+		graphDir   = fs.String("graph-dir", "", "durable semantic-web graph directory, requires -log-dir (empty = in-memory graph only)")
 		graphCkpt  = fs.Duration("graph-checkpoint", 0, "graph snapshot/WAL-truncation cadence (0 = default 15s, negative = disable)")
-		graphFrac  = fs.Float64("graph-checkpoint-frac", 0, "checkpoint once the WAL tail exceeds this fraction of the graph (0 = default 0.25)")
 		serve      = fs.String("serve", "", "serve the subscription gateway and semantic-web channel on this address after the run")
 		pprofOn    = fs.Bool("pprof", false, "with -serve, also mount net/http/pprof profiling under /debug/pprof/")
 		mutexFrac  = fs.Int("pprof-mutex", 0, "sample 1/N of mutex contention events for /debug/pprof/mutex (0 = off)")
@@ -75,6 +74,9 @@ func run(args []string) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *graphDir != "" && *logDir == "" {
+		return fmt.Errorf("-graph-dir requires -log-dir: the durable graph is a view of the durable log")
 	}
 	// Contention profiling is opt-in and set before any broker work so
 	// the whole run is sampled, not just the serving phase. The profiles
@@ -93,14 +95,12 @@ func run(args []string) error {
 		LeadDays:         *lead,
 		NodesPerDistrict: *nodes,
 		FetchParallelism: *fetchPar,
-		GatewayBuffer:    *gwBuffer,
 		LogDir:           *logDir,
 		LogSegmentBytes:  *logSeg,
 		LogRetain:        *logRetain,
 
 		GraphDir:                *graphDir,
 		GraphCheckpointInterval: *graphCkpt,
-		GraphCheckpointFraction: *graphFrac,
 	}
 	if *districts != "" {
 		cfg.Districts = strings.Split(*districts, ",")
@@ -154,10 +154,12 @@ func run(args []string) error {
 	fmt.Println("— dissemination —")
 	st := result.Hub
 	fmt.Printf("bulletins received by hub: %d\n", st.Received)
-	for _, ch := range []string{"billboard", "sms", "ip-radio", "semantic-web"} {
+	for _, ch := range []string{"billboard", "sms", "ip-radio"} {
 		fmt.Printf("  %-13s delivered=%-5d filtered=%-5d errors=%d\n",
 			ch, st.Delivered[ch], st.Filtered[ch], st.Errors[ch])
 	}
+	fmt.Printf("semantic-web graph: %d bulletin records materialized (%d triples)\n",
+		system.Materialized(), system.Web().TripleCount())
 	fmt.Println()
 
 	fmt.Println("— current billboard —")

@@ -18,13 +18,16 @@
 //
 // Unless -target points at an external server, dewsload re-execs
 // itself (-as-server) as a child process owning the durable stores, so
-// a SIGKILL is a real process death, not a simulated one. The report
+// a SIGKILL is a real process death, not a simulated one. The child is
+// the deployed assembly: dews.NewSystem over the two directories behind
+// System.ServeMux, without a simulation Run. The report
 // is written as machine-readable JSON (-out, default BENCH_load.json).
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -36,6 +39,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/dews"
 	"repro/internal/loadgen"
 	"repro/internal/loadgen/oracle"
 )
@@ -135,18 +139,22 @@ func run(args []string) error {
 	return orchestrate(o)
 }
 
-// serveChild is the re-exec'd server process: the durable stack behind
-// one HTTP listener, shut down cleanly on SIGTERM (SIGKILL is the
-// point of chaos mode and needs no handler).
+// serveChild is the re-exec'd server process: dews.System over the
+// durable directories behind one HTTP listener, shut down cleanly on
+// SIGTERM (SIGKILL is the point of chaos mode and needs no handler).
 func serveChild(o *options) error {
 	if o.logDir == "" || o.graphDir == "" {
 		return fmt.Errorf("-as-server needs -log-dir and -graph-dir")
 	}
-	s, err := loadgen.NewServer(loadgen.ServerConfig{LogDir: o.logDir, GraphDir: o.graphDir})
+	sys, err := dews.NewSystem(dews.Config{LogDir: o.logDir, GraphDir: o.graphDir})
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Addr: o.addr, Handler: s.Handler()}
+	mux, gw, err := sys.ServeMux()
+	if err != nil {
+		return errors.Join(err, sys.Close())
+	}
+	httpSrv := &http.Server{Addr: o.addr, Handler: mux}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	sigc := make(chan os.Signal, 1)
@@ -158,11 +166,11 @@ func serveChild(o *options) error {
 	}
 	// Drain order matters: goodbyes end the SSE streams, which lets the
 	// HTTP server's Shutdown return, then the stores flush and close.
-	_ = s.GW.Close()
+	_ = gw.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	_ = httpSrv.Shutdown(ctx)
-	return s.Close()
+	return sys.Close()
 }
 
 // child manages the spawned server process.

@@ -63,7 +63,8 @@ func main() {
 
 	fmt.Println("dissemination accounting:")
 	st := result.Hub
-	for _, ch := range []string{"billboard", "sms", "ip-radio", "semantic-web"} {
+	for _, ch := range []string{"billboard", "sms", "ip-radio"} {
 		fmt.Printf("  %-13s delivered=%-5d filtered=%d\n", ch, st.Delivered[ch], st.Filtered[ch])
 	}
+	fmt.Printf("  %-13s materialized=%d\n", "semantic-web", system.Materialized())
 }

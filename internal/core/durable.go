@@ -19,6 +19,14 @@ var ErrNoLog = errors.New("core: broker has no event log")
 // any traffic, typically right after NewBroker over a directory that may
 // hold a previous run's log; the number of replayed records is returned.
 func (b *Broker) AttachLog(l *eventlog.Log) (int, error) {
+	return b.AttachLogVisit(l, nil)
+}
+
+// AttachLogVisit is AttachLog that also hands every recovered record to
+// visit, in offset order, during the recovery scan. A consumer that must
+// read the whole log at startup rides on that scan instead of paying
+// for a second one. A visit error aborts the attach and is returned.
+func (b *Broker) AttachLogVisit(l *eventlog.Log, visit func(eventlog.Record) error) (int, error) {
 	// Check eligibility under subMu, but release it before the replay:
 	// rebuilding retained state reads the entire WAL, and the retained
 	// stripes carry their own locks — holding the subscription mutex
@@ -43,6 +51,9 @@ func (b *Broker) AttachLog(l *eventlog.Log) (int, error) {
 		m := messageOf(rec)
 		b.retain(&m)
 		replayed++
+		if visit != nil {
+			return visit(rec)
+		}
 		return nil
 	})
 	if err != nil {

@@ -1,10 +1,16 @@
 package dews
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/dissemination"
+	"repro/internal/eventlog"
+	"repro/internal/forecast"
+	"repro/internal/graphlog"
 	"repro/internal/ik"
 )
 
@@ -38,6 +44,10 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 	bad2 := Config{Years: 5, TrainYears: 2, LeadDays: 0}
 	if err := bad2.Validate(); err == nil {
 		t.Error("zero lead should fail")
+	}
+	graphOnly := Config{Years: 5, TrainYears: 2, LeadDays: 30, GraphDir: "g"}
+	if err := graphOnly.Validate(); err == nil {
+		t.Error("GraphDir without LogDir should fail")
 	}
 }
 
@@ -310,19 +320,20 @@ func TestDurableLogAcrossSystems(t *testing.T) {
 	}
 }
 
-// TestPersistentSemanticWeb runs a short simulation with a durable
-// graph, restarts the system on the same directory, and checks the
-// bulletin graph is recovered — and that new bulletins mint IRIs past
-// the recovered sequence instead of overwriting persisted ones.
+// TestPersistentSemanticWeb runs a short durable simulation, reopens the
+// system over the same directories and checks the graph is a view of
+// the log's bulletin records: reopening recovers the same graph, the
+// retained bulletins offered again to the materializer on subscribe add
+// nothing, and one more bulletin record adds exactly its triples.
 func TestPersistentSemanticWeb(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline run is slow")
 	}
-	dir := t.TempDir()
 	cfg := smallConfig(11)
 	cfg.Years = 4
 	cfg.TrainYears = 2
-	cfg.GraphDir = dir
+	cfg.LogDir = t.TempDir()
+	cfg.GraphDir = t.TempDir()
 	cfg.GraphCheckpointInterval = -1 // recovery must work from WAL alone
 
 	sys, err := NewSystem(cfg)
@@ -336,12 +347,9 @@ func TestPersistentSemanticWeb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Bulletins) == 0 {
-		t.Fatal("run produced no bulletins")
-	}
 	firstTriples := sys.Web().TripleCount()
-	if firstTriples == 0 {
-		t.Fatal("semantic-web graph is empty after the run")
+	if want := len(res.Bulletins) * dissemination.BulletinTriples; want == 0 || firstTriples != want {
+		t.Fatalf("graph holds %d triples after %d bulletins, want %d", firstTriples, len(res.Bulletins), want)
 	}
 	if err := sys.Close(); err != nil {
 		t.Fatal(err)
@@ -352,19 +360,131 @@ func TestPersistentSemanticWeb(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys2.Close()
+	broker := sys2.Middleware().Broker()
+	broker.DrainDispatch() // the retained bulletins offered on subscribe
 	if got := sys2.Web().TripleCount(); got != firstTriples {
-		t.Fatalf("recovered %d triples, want %d", got, firstTriples)
+		t.Fatalf("reopened graph holds %d triples, want %d", got, firstTriples)
 	}
-	st := sys2.GraphStore().Stats()
-	if st.Triples != firstTriples {
+	if st := sys2.GraphStore().Stats(); st.Triples != firstTriples {
 		t.Fatalf("store stats report %d triples, want %d", st.Triples, firstTriples)
 	}
-	// A delivery after recovery must extend the graph (fresh sequence
-	// number), not silently rewrite an existing bulletin node.
-	if err := sys2.Web().Deliver(res.Bulletins[0]); err != nil {
+	b := res.Bulletins[0]
+	b.District = "x"
+	if _, err := broker.Publish(core.Message{Topic: core.TopicBulletin("x"), Time: b.Issued, Payload: b}); err != nil {
 		t.Fatal(err)
 	}
-	if got := sys2.Web().TripleCount(); got <= firstTriples {
-		t.Fatalf("post-recovery delivery did not extend the graph (%d -> %d)", firstTriples, got)
+	// A payload that is not a bulletin is counted and adds nothing.
+	if _, err := broker.Publish(core.Message{Topic: core.TopicBulletin("x"), Payload: "not a bulletin"}); err != nil {
+		t.Fatal(err)
+	}
+	broker.DrainDispatch()
+	if got, want := sys2.Web().TripleCount(), firstTriples+dissemination.BulletinTriples; got != want {
+		t.Fatalf("one more bulletin record: %d triples, want %d", got, want)
+	}
+	if n := sys2.decodeErrors.Load(); n != 1 {
+		t.Fatalf("decode errors = %d, want 1", n)
+	}
+}
+
+// bulletinAt is a valid bulletin for the repair tests.
+func bulletinAt(district string, day int) forecast.Bulletin {
+	return forecast.Bulletin{
+		District: district, Issued: time.Date(2015, 1, day, 0, 0, 0, 0, time.UTC),
+		LeadDays: 30, Probability: 0.4, Band: forecast.DVIWatch,
+	}
+}
+
+// appendBulletins writes bulletin/<district> records to the event log in
+// dir, as a broker would, and returns the log's next offset.
+func appendBulletins(t *testing.T, dir string, bs ...forecast.Bulletin) uint64 {
+	t.Helper()
+	l, err := eventlog.Open(eventlog.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range bs {
+		payload, err := json.Marshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.Append(eventlog.Record{Topic: core.TopicBulletin(b.District), Time: b.Issued, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := l.NextOffset()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return next
+}
+
+// plantBulletins materializes bs at offsets first, first+1, ... straight
+// into the graph store in dir, bypassing the event log.
+func plantBulletins(t *testing.T, dir string, first uint64, bs ...forecast.Bulletin) {
+	t.Helper()
+	store, err := graphlog.Open(graphlog.Config{Dir: dir, CheckpointInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	web := dissemination.NewPersistentSemanticWeb(store.Graph(), store.AddAll)
+	for i, b := range bs {
+		if err := web.Materialize(first+uint64(i), b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// openRepaired builds a system over the two directories and returns its
+// graph size once the materializer is idle.
+func openRepaired(t *testing.T, logDir, graphDir string) (*System, int) {
+	t.Helper()
+	sys, err := NewSystem(Config{Districts: []string{"mangaung"}, LogDir: logDir, GraphDir: graphDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := sys.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	sys.Middleware().Broker().DrainDispatch()
+	return sys, sys.GraphStore().Graph().Len()
+}
+
+// TestRepairRemovesOrphanBulletins: graph bulletins keyed at or past the
+// recovered log's next offset lost their records with the log's tail (a
+// crash between the graph WAL's fsync and the event log's). Opening the
+// system removes them, and the graph holds exactly the log's bulletins.
+func TestRepairRemovesOrphanBulletins(t *testing.T) {
+	logDir, graphDir := t.TempDir(), t.TempDir()
+	bs := []forecast.Bulletin{bulletinAt("mangaung", 1), bulletinAt("mangaung", 8), bulletinAt("x", 15), bulletinAt("mangaung", 22)}
+	if next := appendBulletins(t, logDir, bs[:2]...); next != 3 {
+		t.Fatalf("log next offset %d, want 3", next)
+	}
+	plantBulletins(t, graphDir, 1, bs...) // offsets 3 and 4 are orphans
+
+	sys, got := openRepaired(t, logDir, graphDir)
+	if want := 2 * dissemination.BulletinTriples; got != want {
+		t.Fatalf("graph holds %d triples after repair, want %d for 2 bulletin records", got, want)
+	}
+	if n := sys.orphansSwept.Load(); n != 2 {
+		t.Fatalf("orphans swept = %d, want 2", n)
+	}
+}
+
+// TestRepairRematerializesMissingBulletins: a bulletin record the log
+// kept but the graph WAL lost (a crash between the event log's fsync and
+// the graph WAL's) is materialized again when the system opens.
+func TestRepairRematerializesMissingBulletins(t *testing.T) {
+	logDir, graphDir := t.TempDir(), t.TempDir()
+	appendBulletins(t, logDir, bulletinAt("mangaung", 1), bulletinAt("x", 8), bulletinAt("mangaung", 15))
+	plantBulletins(t, graphDir, 1, bulletinAt("mangaung", 1))
+
+	_, got := openRepaired(t, logDir, graphDir)
+	if want := 3 * dissemination.BulletinTriples; got != want {
+		t.Fatalf("graph holds %d triples after repair, want %d for 3 bulletin records", got, want)
 	}
 }

@@ -95,6 +95,10 @@ var statsSchema = obj(map[string]node{
 		}),
 		"semweb": obj(map[string]node{
 			"bulletin_triples": leaf(kNum),
+			"materialized":     leaf(kNum),
+			"decode_errors":    leaf(kNum),
+			"orphans_swept":    leaf(kNum),
+			"dropped":          leaf(kNum),
 			"store": obj(map[string]node{
 				"triples":                  leaf(kNum),
 				"dict_terms":               leaf(kNum),

@@ -3,6 +3,8 @@ package dissemination
 import (
 	"fmt"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -18,8 +20,10 @@ import (
 //	GET /sparql?query=...   → SELECT/ASK results as text
 //	GET /health             → liveness probe
 //
-// It implements both Channel (for the hub) and http.Handler (for
-// serving).
+// Bulletins arrive two ways: Deliver, the Channel an in-process hub
+// calls, keys each bulletin by a delivery sequence; Materialize keys it
+// by the broker offset of its bulletin/<district> record, which is how
+// dews.System builds its graph as a view of the event log.
 type SemanticWeb struct {
 	// mu guards seq only; the graph is internally synchronized and
 	// queries run on lock-free snapshots of it.
@@ -28,7 +32,7 @@ type SemanticWeb struct {
 	// write commits a bulletin's triples: the graph's own AddAll for the
 	// in-memory channel, or the persistent store's durable AddAll.
 	write func(...rdf.Triple) error
-	seq   int
+	seq   uint64
 }
 
 var (
@@ -52,16 +56,18 @@ func NewPersistentSemanticWeb(graph *rdf.Graph, write func(...rdf.Triple) error)
 		write: write,
 		// Each Deliver asserts exactly one rdf:type Bulletin triple, so
 		// the class count is the number of sequence values consumed.
-		seq: graph.Count(nil, rdf.RDFType, bulletinClass),
+		seq: uint64(graph.Count(nil, rdf.RDFType, BulletinClass)),
 	}
 }
 
 // Name implements Channel.
 func (*SemanticWeb) Name() string { return "semantic-web" }
 
-// bulletin vocabulary (within the drought namespace).
+// Bulletin vocabulary (within the drought namespace). BulletinClass is
+// exported for the offline graph oracle, which counts typed bulletin
+// nodes.
 var (
-	bulletinClass = rdf.NSDEWS.IRI("Bulletin")
+	BulletinClass = rdf.NSDEWS.IRI("Bulletin")
 	probProp      = rdf.NSDEWS.IRI("probability")
 	bandProp      = rdf.NSDEWS.IRI("dviBand")
 	leadProp      = rdf.NSDEWS.IRI("leadDays")
@@ -69,19 +75,23 @@ var (
 	issuedProp    = rdf.NSDEWS.IRI("issued")
 )
 
-// Deliver implements Channel: the bulletin becomes RDF. The six triples
-// go in as one atomic batch, so a concurrent query snapshot sees either
-// the whole bulletin or none of it.
-func (s *SemanticWeb) Deliver(b forecast.Bulletin) error {
-	if err := b.Validate(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.seq++
-	node := rdf.NSOBS.IRI(fmt.Sprintf("bulletin/%s/%d", b.District, s.seq))
-	s.mu.Unlock()
+// BulletinTriples is how many triples one bulletin asserts: type,
+// region, probability, band, lead and issue time.
+const BulletinTriples = 6
+
+// bulletinNode mints the IRI bulletin/<district>/<key>. The key is the
+// broker offset of the bulletin record for Materialize, and the
+// channel's delivery sequence for Deliver.
+func bulletinNode(district string, key uint64) rdf.IRI {
+	return rdf.NSOBS.IRI("bulletin/" + district + "/" + strconv.FormatUint(key, 10))
+}
+
+// put writes b's BulletinTriples triples under node as one atomic batch,
+// so a concurrent query snapshot sees either the whole bulletin or none
+// of it.
+func (s *SemanticWeb) put(node rdf.IRI, b forecast.Bulletin) error {
 	return s.write(
-		rdf.T(node, rdf.RDFType, bulletinClass),
+		rdf.T(node, rdf.RDFType, BulletinClass),
 		rdf.T(node, regionProp, rdf.NSGEO.IRI(b.District)),
 		rdf.T(node, probProp, rdf.NewFloat(b.Probability)),
 		rdf.T(node, bandProp, rdf.NewLiteral(b.Band.String())),
@@ -89,6 +99,48 @@ func (s *SemanticWeb) Deliver(b forecast.Bulletin) error {
 		rdf.T(node, issuedProp,
 			rdf.NewTypedLiteral(b.Issued.UTC().Format(time.RFC3339), rdf.XSDDateTime)),
 	)
+}
+
+// Deliver implements Channel for in-process hubs: the bulletin becomes
+// RDF under the channel's next sequence number.
+func (s *SemanticWeb) Deliver(b forecast.Bulletin) error {
+	if err := b.Validate(); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.seq++
+	seq := s.seq
+	s.mu.Unlock()
+	return s.put(bulletinNode(b.District, seq), b)
+}
+
+// Materialize asserts the bulletin the broker recorded at offset. The
+// IRI is keyed by the offset, so materializing the same record again
+// (replayed from the log, or a retained bulletin offered to a new
+// subscription) adds nothing.
+func (s *SemanticWeb) Materialize(offset uint64, b forecast.Bulletin) error {
+	if err := b.Validate(); err != nil {
+		return err
+	}
+	return s.put(bulletinNode(b.District, offset), b)
+}
+
+// BulletinsFrom returns the bulletin nodes keyed at offset from or
+// later. Against a log recovered after a crash, from = NextOffset names
+// the orphans: bulletins whose records were lost with the log's
+// unsynced tail.
+func (s *SemanticWeb) BulletinsFrom(from uint64) []rdf.Term {
+	var nodes []rdf.Term
+	s.graph.ForEachMatch(nil, rdf.RDFType, BulletinClass, func(t rdf.Triple) bool {
+		if iri, ok := t.S.(rdf.IRI); ok {
+			key, err := strconv.ParseUint(string(iri[strings.LastIndexByte(string(iri), '/')+1:]), 10, 64)
+			if err == nil && key >= from {
+				nodes = append(nodes, t.S)
+			}
+		}
+		return true
+	})
+	return nodes
 }
 
 // Graph returns a snapshot of the bulletin graph.

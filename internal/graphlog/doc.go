@@ -8,8 +8,8 @@
 // no re-sorting, no re-interning hash churn beyond rebuilding the
 // lookup map), then the WAL records past the snapshot's covered offset
 // are replayed. A background checkpointer writes a fresh snapshot and
-// truncates redundant WAL segments once the tail grows past a
-// configured fraction of the graph.
+// truncates redundant WAL segments once the tail grows past a quarter
+// of the graph.
 //
 // Crash recovery is the ordinary open path — a clean Close does not
 // checkpoint or do anything else a crash would skip — so "recovered

@@ -24,6 +24,9 @@ const (
 	// this many triples, which every runtime writer (a bulletin is six
 	// triples) does by orders of magnitude.
 	walBatchTriples = 8192
+	// checkpointFraction triggers a checkpoint once the WAL tail holds
+	// more than this fraction of the graph's triples.
+	checkpointFraction = 0.25
 
 	snapSuffix = ".gsnap"
 )
@@ -44,9 +47,6 @@ type Config struct {
 	// the tail-size trigger (default 15s; negative disables background
 	// checkpointing — Checkpoint can still be called manually).
 	CheckpointInterval time.Duration
-	// CheckpointFraction triggers a checkpoint once the WAL tail holds
-	// more than this fraction of the graph's triples (default 0.25).
-	CheckpointFraction float64
 	// CheckpointMinTail is an absolute floor: no checkpoint happens while
 	// the tail holds fewer triples than this, however small the graph
 	// (default 10000).
@@ -56,9 +56,6 @@ type Config struct {
 func (c *Config) applyDefaults() {
 	if c.CheckpointInterval == 0 {
 		c.CheckpointInterval = 15 * time.Second
-	}
-	if c.CheckpointFraction <= 0 {
-		c.CheckpointFraction = 0.25
 	}
 	if c.CheckpointMinTail <= 0 {
 		c.CheckpointMinTail = 10000
@@ -492,7 +489,7 @@ func (st *Store) shouldCheckpoint() bool {
 	if tail < uint64(st.cfg.CheckpointMinTail) {
 		return false
 	}
-	return float64(tail) >= st.cfg.CheckpointFraction*float64(st.g.Len())
+	return float64(tail) >= checkpointFraction*float64(st.g.Len())
 }
 
 // Stats returns a point-in-time summary.

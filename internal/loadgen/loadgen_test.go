@@ -3,9 +3,12 @@ package loadgen
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"repro/internal/dews"
 )
 
 // TestStreamDeterminism is the seed-reproducibility regression: two
@@ -133,15 +136,25 @@ func TestBucketBounds(t *testing.T) {
 	}
 }
 
-// startTestServer runs the harness server stack on fresh dirs.
-func startTestServer(t *testing.T, logDir, graphDir string) (*Server, *httptest.Server) {
+// startTestServer serves what cmd/dewsload -as-server serves:
+// dews.NewSystem over the directories behind System.ServeMux, no Run.
+// stop ends the SSE streams, then the listener, then the system.
+func startTestServer(t *testing.T, logDir, graphDir string) (*dews.System, *httptest.Server, func() error) {
 	t.Helper()
-	s, err := NewServer(ServerConfig{LogDir: logDir, GraphDir: graphDir})
+	sys, err := dews.NewSystem(dews.Config{LogDir: logDir, GraphDir: graphDir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(s.Handler())
-	return s, hs
+	mux, gw, err := sys.ServeMux()
+	if err != nil {
+		t.Fatal(errors.Join(err, sys.Close()))
+	}
+	hs := httptest.NewServer(mux)
+	return sys, hs, func() error {
+		err := gw.Close()
+		hs.Close()
+		return errors.Join(err, sys.Close())
+	}
 }
 
 // TestSteadyRunInProcess drives the whole closed loop against an
@@ -152,9 +165,12 @@ func TestSteadyRunInProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load loop")
 	}
-	s, hs := startTestServer(t, t.TempDir(), t.TempDir())
-	defer s.Close()
-	defer hs.Close()
+	sys, hs, stop := startTestServer(t, t.TempDir(), t.TempDir())
+	defer func() {
+		if err := stop(); err != nil {
+			t.Error(err)
+		}
+	}()
 
 	r := NewRunner(RunConfig{
 		Target:          hs.URL,
@@ -209,11 +225,13 @@ func TestSteadyRunInProcess(t *testing.T) {
 	}
 
 	// Graph parity: every acked bulletin materialized exactly
-	// BulletinTriples triples (offset-keyed, so set semantics hold).
-	if got, want := s.Store.Graph().Len(), int(s.MaterializedBulletins())*BulletinTriples; got != want {
-		t.Fatalf("graph parity: %d triples, want %d (%d bulletins)", got, want, s.MaterializedBulletins())
+	// BulletinTriples triples (offset-keyed, so set semantics hold). The
+	// dispatcher materializes asynchronously; wait for it first.
+	sys.Middleware().Broker().DrainDispatch()
+	if got, want := sys.GraphStore().Graph().Len(), int(sys.Materialized())*BulletinTriples; got != want {
+		t.Fatalf("graph parity: %d triples, want %d (%d bulletins)", got, want, sys.Materialized())
 	}
-	if s.MaterializedBulletins() == 0 {
+	if sys.Materialized() == 0 {
 		t.Fatal("no bulletins materialized — graph path unexercised")
 	}
 }
@@ -223,7 +241,7 @@ func TestSteadyRunInProcess(t *testing.T) {
 // recovery-equals-never-crashed oracle, minus the SIGKILL).
 func TestServerRecoveryConvergesGraph(t *testing.T) {
 	logDir, graphDir := t.TempDir(), t.TempDir()
-	s, hs := startTestServer(t, logDir, graphDir)
+	sys, hs, stop := startTestServer(t, logDir, graphDir)
 
 	r := NewRunner(RunConfig{
 		Target: hs.URL, Seed: 2, Publishers: 2, Batch: 10,
@@ -233,33 +251,37 @@ func TestServerRecoveryConvergesGraph(t *testing.T) {
 	if res.Published == 0 {
 		t.Fatal("nothing published")
 	}
-	hs.Close()
 	// Close drains the dispatcher, so the count is final only after it.
-	if err := s.Close(); err != nil {
+	if err := stop(); err != nil {
 		t.Fatal(err)
 	}
-	bulletins := s.MaterializedBulletins()
+	bulletins := sys.Materialized()
 
-	s2, err := NewServer(ServerConfig{LogDir: logDir, GraphDir: graphDir})
+	sys2, err := dews.NewSystem(dews.Config{LogDir: logDir, GraphDir: graphDir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
-	// Replay re-materializes every logged bulletin, and the live handler
+	defer func() {
+		if err := sys2.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	// Repair re-materializes every logged bulletin, and the materializer's
 	// subscription then receives the retained bulletin of each district
 	// once more (asynchronously — wait for the dispatcher before
 	// counting); set semantics keep the triple count at parity.
-	s2.Broker.DrainDispatch()
+	broker := sys2.Middleware().Broker()
+	broker.DrainDispatch()
 	retained := int64(0)
 	for _, d := range DefaultDistricts {
-		if _, ok := s2.Broker.Retained("bulletin/" + d); ok {
+		if _, ok := broker.Retained("bulletin/" + d); ok {
 			retained++
 		}
 	}
-	if got := s2.MaterializedBulletins(); got != bulletins+retained {
+	if got := sys2.Materialized(); got != bulletins+retained {
 		t.Fatalf("recovered materializations %d, want %d logged + %d retained", got, bulletins, retained)
 	}
-	if got, want := s2.Store.Graph().Len(), int(bulletins)*BulletinTriples; got != want {
+	if got, want := sys2.GraphStore().Graph().Len(), int(bulletins)*BulletinTriples; got != want {
 		t.Fatalf("recovered graph: %d triples, want %d", got, want)
 	}
 }

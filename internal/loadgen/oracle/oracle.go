@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/dissemination"
 	"repro/internal/eventlog"
 	"repro/internal/graphlog"
 	"repro/internal/loadgen"
@@ -131,12 +132,10 @@ type GraphReport struct {
 	Parity bool `json:"parity"`
 }
 
-var bulletinClass = rdf.NSDEWS.IRI("Bulletin")
-
 // CheckGraph opens the graph store cold. Opening runs the same
 // recovery a restarted server performs (snapshot + WAL tail), but NOT
-// the server's reconcile step — so this checks the state the last
-// server instance actually persisted.
+// the repair dews.NewSystem runs against the event log — so this checks
+// the state the last server instance actually persisted.
 func CheckGraph(graphDir string, f *LogFacts) (*GraphReport, error) {
 	store, err := graphlog.Open(graphlog.Config{Dir: graphDir})
 	if err != nil {
@@ -146,7 +145,7 @@ func CheckGraph(graphDir string, f *LogFacts) (*GraphReport, error) {
 	g := store.Graph()
 	rep := &GraphReport{
 		Triples:       g.Len(),
-		BulletinNodes: g.Count(nil, rdf.RDFType, bulletinClass),
+		BulletinNodes: g.Count(nil, rdf.RDFType, dissemination.BulletinClass),
 		WantTriples:   f.Bulletins * int64(loadgen.BulletinTriples),
 	}
 	rep.Parity = int64(rep.Triples) == rep.WantTriples && int64(rep.BulletinNodes) == f.Bulletins

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dews"
 	"repro/internal/loadgen"
 )
 
@@ -14,11 +15,15 @@ import (
 // triple parity.
 func TestOraclesAgainstCleanRun(t *testing.T) {
 	logDir, graphDir := t.TempDir(), t.TempDir()
-	s, err := loadgen.NewServer(loadgen.ServerConfig{LogDir: logDir, GraphDir: graphDir})
+	sys, err := dews.NewSystem(dews.Config{LogDir: logDir, GraphDir: graphDir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(s.Handler())
+	mux, gw, err := sys.ServeMux()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(mux)
 
 	r := loadgen.NewRunner(loadgen.RunConfig{
 		Target: hs.URL, Seed: 11, Publishers: 2, Batch: 10,
@@ -28,8 +33,11 @@ func TestOraclesAgainstCleanRun(t *testing.T) {
 	if res.Published == 0 {
 		t.Fatal("nothing published")
 	}
+	if err := gw.Close(); err != nil {
+		t.Fatal(err)
+	}
 	hs.Close()
-	if err := s.Close(); err != nil {
+	if err := sys.Close(); err != nil {
 		t.Fatal(err)
 	}
 
