@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 
 	"repro/internal/eventlog"
@@ -15,9 +14,11 @@ var ErrNoLog = errors.New("core: broker has no event log")
 // written through to l before fan-out (the log's sequencer assigns the
 // broker's offsets), and the broker's state is first recovered from the
 // log — the retained stripes are rebuilt from history (the last record
-// per topic wins, exactly the in-memory retention rule). Attach before
-// any traffic, typically right after NewBroker over a directory that may
-// hold a previous run's log; the number of replayed records is returned.
+// per topic wins, exactly the in-memory retention rule). Recovered
+// messages carry their stored JSON as a read-only json.RawMessage
+// payload; nothing is decoded. Attach before any traffic, typically
+// right after NewBroker over a directory that may hold a previous run's
+// log; the number of replayed records is returned.
 func (b *Broker) AttachLog(l *eventlog.Log) (int, error) {
 	return b.AttachLogVisit(l, nil)
 }
@@ -125,7 +126,8 @@ func (b *Broker) notifyCommit() {
 // topic matches pattern to fn, in offset order, up to the log's end at
 // call time; it returns the next offset to replay from (pass it back in
 // to continue after new publishes). History older than the retention
-// horizon is gone — callers start at the oldest surviving record. fn
+// horizon is gone — callers start at the oldest surviving record. Each
+// message's payload is its stored JSON, a read-only json.RawMessage. fn
 // errors abort the replay. Requires an attached log.
 func (b *Broker) ReplayFrom(from uint64, pattern string, fn func(Message) error) (uint64, error) {
 	if err := ValidatePattern(pattern); err != nil {
@@ -143,22 +145,17 @@ func (b *Broker) ReplayFrom(from uint64, pattern string, fn func(Message) error)
 	})
 }
 
-// messageOf converts a durable record back to a message. Payloads decode
-// to generic JSON values (maps, slices, numbers) — replayed history
-// interoperates structurally, not by Go type, exactly like messages
-// published through the gateway. The record's raw payload bytes are
-// stashed in the message's encode cache, so a gateway replaying history
-// to SSE clients renders frames from the stored JSON without a decode →
-// re-encode round trip.
+// messageOf converts a durable record back to a message without decoding
+// its payload: Payload is the record's stored JSON as a json.RawMessage,
+// and the same slice is the message's encode cache, so PayloadJSON and
+// a gateway rendering SSE frames return the stored bytes as they are.
+// The slice is the decoder's fresh copy, shared by every copy of the
+// message — read-only, like PayloadJSON's result. The log only holds
+// JSON the broker marshaled, and its CRC check rejects corrupt frames.
 func messageOf(rec eventlog.Record) Message {
 	m := Message{Offset: rec.Offset, Topic: rec.Topic, Time: rec.Time, Headers: rec.Headers}
 	if len(rec.Payload) > 0 {
-		var v any
-		if err := json.Unmarshal(rec.Payload, &v); err == nil {
-			m.Payload = v
-		} else {
-			m.Payload = string(rec.Payload)
-		}
+		m.Payload = rec.Payload
 		m.cache = &msgCache{payload: rec.Payload}
 	}
 	return m

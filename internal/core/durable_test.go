@@ -1,11 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -33,13 +33,16 @@ func durableBroker(t *testing.T, dir string) (*Broker, *eventlog.Log, int) {
 	return b, l, n
 }
 
+// seqPayload is the payload publishSeq sends as its i-th message.
+func seqPayload(i int) any { return map[string]any{"value": float64(i)} }
+
 func publishSeq(t *testing.T, b *Broker, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		_, err := b.Publish(Message{
 			Topic:   fmt.Sprintf("obs/d%d/Rainfall", i%4),
 			Time:    time.Date(2015, 3, 1, 0, 0, i, 0, time.UTC),
-			Payload: map[string]any{"value": float64(i)},
+			Payload: seqPayload(i),
 		})
 		if err != nil {
 			t.Fatalf("Publish %d: %v", i, err)
@@ -88,7 +91,7 @@ func TestWriteThroughAndRestartRecovery(t *testing.T) {
 		t.Fatalf("recovered NextOffset %d, want 13", b2.NextOffset())
 	}
 	// Retained state matches: the latest message per topic survives the
-	// restart (payloads come back as generic JSON values).
+	// restart (payloads come back as the stored JSON).
 	for d := 0; d < 4; d++ {
 		topic := fmt.Sprintf("obs/d%d/Rainfall", d)
 		m, ok := b2.Retained(topic)
@@ -171,7 +174,8 @@ func TestCrashRecoveryMatchesNeverCrashedRun(t *testing.T) {
 			t.Fatalf("topic %s: recovered %+v, want %+v", topic, got, want)
 		}
 	}
-	// Replayed history must be identical too (offsets, topics, payloads).
+	// Replayed history must be identical too (offsets, topics, times), and
+	// every payload must be the JSON the publisher's message marshaled to.
 	collect := func(b *Broker) []Message {
 		var out []Message
 		if _, err := b.ReplayFrom(0, "#", func(m Message) error {
@@ -188,10 +192,81 @@ func TestCrashRecoveryMatchesNeverCrashedRun(t *testing.T) {
 	}
 	for i := range gotHist {
 		g, w := gotHist[i], wantHist[i]
-		if g.Offset != w.Offset || g.Topic != w.Topic || !g.Time.Equal(w.Time) ||
-			!reflect.DeepEqual(g.Payload, w.Payload) {
+		if g.Offset != w.Offset || g.Topic != w.Topic || !g.Time.Equal(w.Time) {
 			t.Fatalf("history[%d]: %+v, want %+v", i, g, w)
 		}
+		raw, _ := g.Payload.(json.RawMessage)
+		if want := marshalPayload(seqPayload(i)); !bytes.Equal(raw, want) {
+			t.Fatalf("history[%d]: payload %T %s, want json.RawMessage %s", i, g.Payload, g.PayloadJSON(), want)
+		}
+	}
+}
+
+// TestRecoveredPayloadIsStoredJSON: a message read back from the log —
+// retained after a restart, or handed out by ReplayFrom — carries the
+// record's stored JSON as its payload, and PayloadJSON returns those very
+// bytes. Recovery must not decode payloads: the allocation bound per
+// replayed record fails if a decode into generic values comes back.
+func TestRecoveredPayloadIsStoredJSON(t *testing.T) {
+	const n, topics = 400, 8
+	l := filledLog(t, n, topics)
+	defer l.Close()
+	stored := make(map[uint64][]byte, n)
+	last := make(map[string]uint64, topics)
+	if _, err := l.Scan(0, func(rec eventlog.Record) error {
+		stored[rec.Offset] = rec.Payload
+		last[rec.Topic] = rec.Offset
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	b := NewBroker()
+	if got, err := b.AttachLog(l); err != nil || got != n {
+		t.Fatalf("AttachLog recovered %d, %v; want %d", got, err, n)
+	}
+
+	check := func(what string, m Message) {
+		t.Helper()
+		raw, ok := m.Payload.(json.RawMessage)
+		if !ok {
+			t.Fatalf("%s: payload is %T, want json.RawMessage", what, m.Payload)
+		}
+		if !bytes.Equal(raw, stored[m.Offset]) {
+			t.Fatalf("%s: payload %s, logged %s", what, raw, stored[m.Offset])
+		}
+		if pj := m.PayloadJSON(); len(pj) == 0 || &pj[0] != &raw[0] {
+			t.Fatalf("%s: PayloadJSON %s is not the stored slice", what, pj)
+		}
+	}
+	for topic, off := range last {
+		m, ok := b.Retained(topic)
+		if !ok || m.Offset != off {
+			t.Fatalf("retained %s: offset %d (present %v), want %d", topic, m.Offset, ok, off)
+		}
+		check("retained "+topic, m)
+	}
+	replayed := 0
+	if _, err := b.ReplayFrom(0, "#", func(m Message) error {
+		replayed++
+		check(fmt.Sprintf("replayed offset %d", m.Offset), m)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if replayed != n {
+		t.Fatalf("replayed %d records, want %d", replayed, n)
+	}
+
+	// A replayed record of this shape costs 6 allocations; unmarshaling
+	// its three-field object payload into generic values adds 13 more.
+	const maxPerRecord = 10
+	perRecord := testing.AllocsPerRun(5, func() {
+		if _, err := b.ReplayFrom(0, "#", func(Message) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}) / n
+	if perRecord > maxPerRecord {
+		t.Fatalf("ReplayFrom allocates %.1f times per record, want <= %d", perRecord, maxPerRecord)
 	}
 }
 

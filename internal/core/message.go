@@ -33,6 +33,9 @@ type Message struct {
 	// Time is the event time of the payload.
 	Time time.Time
 	// Payload carries the typed body (ssn.Record, cep.Event, ...).
+	// Messages read back from the event log (retained after a restart,
+	// ReplayFrom) carry the stored JSON as a shared, read-only
+	// json.RawMessage.
 	Payload any
 	// Headers carries string metadata.
 	Headers map[string]string

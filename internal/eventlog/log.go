@@ -46,9 +46,9 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Record is one durable event. Payload is raw JSON — the log stores the
-// wire form, not Go types, so a replayed payload decodes to generic
-// values exactly like a message published through the gateway. On disk a
-// record is the compact binary layout described in codec.go.
+// wire form, not Go types, and a reader gets those bytes back
+// undecoded. On disk a record is the compact binary layout described in
+// codec.go.
 type Record struct {
 	// Offset is the log-assigned dense sequence number (first record is
 	// offset 1). On Append the field is ignored and assigned.
