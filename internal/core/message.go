@@ -37,7 +37,8 @@ type Message struct {
 	// ReplayFrom) carry the stored JSON as a shared, read-only
 	// json.RawMessage.
 	Payload any
-	// Headers carries string metadata.
+	// Headers carries string metadata. Messages read back from the event
+	// log share one read-only map among records with identical headers.
 	Headers map[string]string
 
 	// cache, when non-nil, carries lazily built wire encodings shared by

@@ -65,13 +65,25 @@ func appendRecordV2(dst []byte, rec *Record) []byte {
 
 // decoder decodes record bodies into Records. It interns topic and
 // header-key strings (a log's topic universe is tiny next to its record
-// count) and caches time zones, so a steady-state v2 decode allocates
-// only the payload copy. A decoder is single-goroutine state; each scan
-// owns its own.
+// count), shares header maps (see sharedHeaders) and caches time zones,
+// so a steady-state v2 decode allocates only the payload copy. A decoder
+// is single-goroutine state; each scan owns its own.
 type decoder struct {
 	strings map[string]string
 	zones   map[int32]*time.Location
+	// headers maps an encoded header section to its decoded map.
+	headers map[string]map[string]string
 }
+
+// Records whose header sections are byte-identical — a unit, a rule —
+// get one shared map, so Headers of a decoded record are read-only. The
+// first sharedHeaders distinct sections of at most sharedHeaderBytes
+// bytes are shared per decoder; per-record headers (ids, timestamps)
+// beyond them decode into maps of their own.
+const (
+	sharedHeaders     = 64
+	sharedHeaderBytes = 256
+)
 
 // intern returns b as a string, reusing a previously seen allocation.
 func (d *decoder) intern(b []byte) string {
@@ -149,6 +161,12 @@ func (d *decoder) decodeRecordV2(body []byte, rec *Record) error {
 		rec.Payload = append(json.RawMessage(nil), body[at:at+n]...)
 		at += n
 	}
+	// Headers are the body's last field.
+	section := body[at:]
+	if h, ok := d.headers[string(section)]; ok { // no-alloc map probe
+		rec.Headers = h
+		return nil
+	}
 	count, at, err := uvarint(body, at)
 	if err != nil {
 		return fmt.Errorf("eventlog: v2 record header count: %w", err)
@@ -174,6 +192,12 @@ func (d *decoder) decodeRecordV2(body []byte, rec *Record) error {
 	}
 	if at != len(body) {
 		return fmt.Errorf("eventlog: v2 record has %d trailing bytes", len(body)-at)
+	}
+	if count > 0 && len(d.headers) < sharedHeaders && len(section) <= sharedHeaderBytes {
+		if d.headers == nil {
+			d.headers = make(map[string]map[string]string, 8)
+		}
+		d.headers[string(section)] = rec.Headers
 	}
 	return nil
 }

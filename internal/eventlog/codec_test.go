@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -82,6 +83,51 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if wantOff != gotOff {
 			t.Fatalf("round trip %d: zone offset %d, want %d", i, gotOff, wantOff)
 		}
+	}
+}
+
+// TestDecodeSharesHeaderMaps: records with byte-identical header sections
+// get one map per decoder, up to sharedHeaders distinct sections; the
+// sections past the cap still decode, into maps of their own.
+func TestDecodeSharesHeaderMaps(t *testing.T) {
+	same := func(a, b map[string]string) bool {
+		return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
+	}
+	var dec decoder
+	decode := func(headers map[string]string) map[string]string {
+		t.Helper()
+		rec := Record{Offset: 1, Topic: "obs/d1/Rainfall", Payload: json.RawMessage(`1`), Headers: headers}
+		var got Record
+		if err := dec.decodeRecordV2(appendRecordV2(nil, &rec), &got); err != nil {
+			t.Fatal(err)
+		}
+		if !sameRecord(got, rec) {
+			t.Fatalf("got %+v, want %+v", got, rec)
+		}
+		return got.Headers
+	}
+	mm := decode(map[string]string{"unit": "mm"})
+	if !same(mm, decode(map[string]string{"unit": "mm"})) {
+		t.Fatal("identical headers decoded into two maps")
+	}
+	if same(mm, decode(map[string]string{"unit": "degC"})) {
+		t.Fatal("different headers share a map")
+	}
+	if decode(nil) != nil {
+		t.Fatal("a record without headers decoded a map")
+	}
+	for i := 0; i < 2*sharedHeaders; i++ {
+		decode(map[string]string{"id": fmt.Sprint(i)})
+	}
+	if len(dec.headers) != sharedHeaders {
+		t.Fatalf("decoder shares %d header sections, cap %d", len(dec.headers), sharedHeaders)
+	}
+	past := map[string]string{"id": fmt.Sprint(2 * sharedHeaders)}
+	if same(decode(past), decode(past)) {
+		t.Fatal("a section past the cap is shared")
+	}
+	if !same(mm, decode(map[string]string{"unit": "mm"})) {
+		t.Fatal("a section shared before the cap stopped being shared")
 	}
 }
 

@@ -59,7 +59,9 @@ type Record struct {
 	Time time.Time
 	// Payload is the body as raw JSON.
 	Payload json.RawMessage
-	// Headers carries string metadata.
+	// Headers carries string metadata. Records read back by one scan
+	// share one map when their headers are byte-identical on disk, so a
+	// read record's map is read-only.
 	Headers map[string]string
 }
 

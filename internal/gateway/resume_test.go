@@ -289,6 +289,67 @@ func TestSSEIDCarriesDurableOffset(t *testing.T) {
 	}
 }
 
+// TestReplayedFramesMatchLiveFrames: a live stream writes each message's
+// shared cached frame, a stream resumed from the log renders its frames
+// into the stream's own buffer; both carry the same bytes for the same
+// event — the envelope as json.Marshal renders it, HTML escaping and the
+// degraded envelope of an unmarshalable time included.
+func TestReplayedFramesMatchLiveFrames(t *testing.T) {
+	b, srv := durableGateway(t, t.TempDir(), nil)
+	live := subscribeSSE(t, srv, "evt/#", nil)
+	msgs := []core.Message{
+		{
+			Topic:   "evt/d1/alert",
+			Time:    time.Date(2015, 3, 1, 6, 0, 0, 5, time.FixedZone("", 2*3600)),
+			Payload: map[string]any{"note": "<rain & wind>", "mm": 12.5},
+			Headers: map[string]string{"severity": "high", "rule": "a<b"},
+		},
+		{Topic: "evt/d2/alert", Time: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC), Payload: 1.5},
+		{Topic: "evt/d3/alert", Time: time.Date(2016, 1, 1, 0, 0, 0, 0, time.UTC)},
+	}
+	for _, m := range msgs {
+		if _, err := b.Publish(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func(s *sseStream) []sseEvent {
+		t.Helper()
+		var out []sseEvent
+		for len(out) < len(msgs) {
+			ev, err := s.Next()
+			if err != nil {
+				t.Fatalf("after %d events: %v", len(out), err)
+			}
+			if ev.Event == "message" {
+				out = append(out, ev)
+			}
+		}
+		return out
+	}
+	want := read(live)
+	got := read(resumeSSE(t, srv, "evt/#", "", map[string]string{"from": "1"}))
+	for i, m := range msgs {
+		if got[i] != want[i] {
+			t.Fatalf("event %d: replayed %+v, live %+v", i, got[i], want[i])
+		}
+		payload, err := json.Marshal(m.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := Envelope{Offset: uint64(i + 1), Topic: m.Topic, Time: m.Time, Payload: payload, Headers: m.Headers}
+		if m.Time.Year() > 9999 {
+			env.Time = time.Time{}
+		}
+		body, err := json.Marshal(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i].ID != strconv.Itoa(i+1) || want[i].Data != string(body) {
+			t.Fatalf("event %d: id %q data %s, want id %d data %s", i, want[i].ID, want[i].Data, i+1, body)
+		}
+	}
+}
+
 // TestResumeCursorPastTailClamps: a Last-Event-ID from a previous log
 // generation (directory wiped, offsets restarted) must not suppress the
 // live feed — the gateway clamps the cursor to the current tail.

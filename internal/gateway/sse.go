@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -156,10 +157,14 @@ type stream struct {
 	r  *http.Request
 	fl http.Flusher
 	rc *http.ResponseController
-	// frames is the drain's reusable batch; wrote reports a data write
-	// since the pump last looked, which pushes the keep-alive back.
-	frames net.Buffers
-	wrote  bool
+	// frames is the live drain's reusable batch of shared frames; the log
+	// drain renders its frames into out instead, rendered counting them.
+	// wrote reports a data write since the pump last looked, which pushes
+	// the keep-alive back.
+	frames   net.Buffers
+	out      frameWriter
+	rendered int
+	wrote    bool
 }
 
 // deadline arms the per-write deadline: a transport-stalled client (dead
@@ -176,18 +181,26 @@ func (st *stream) closed() bool {
 	return st.r.Context().Err() != nil || st.g.ctx.Err() != nil
 }
 
-// flush writes st.frames as one client write and one Flush, and empties
-// the batch: a drain empties its source per wake anyway, so per-message
-// write/flush cycles would only buy chunked-transfer overhead and
-// syscalls per event instead of per drain.
+// flush writes the batch — st.frames or the frames rendered into st.out
+// — as one client write and one Flush, and empties it: a drain empties
+// its source per wake anyway, so per-message write/flush cycles would
+// only buy chunked-transfer overhead and syscalls per event instead of
+// per drain.
 func (st *stream) flush() error {
-	n := len(st.frames)
+	n := len(st.frames) + st.rendered
 	if n == 0 {
 		return nil
 	}
 	st.deadline()
-	err := writeFrames(st.w, st.frames)
-	st.frames = st.frames[:0]
+	var err error
+	if st.rendered > 0 {
+		_, err = st.w.Write(st.out.buf.Bytes())
+		st.out.buf.Reset()
+		st.rendered = 0
+	} else {
+		err = writeFrames(st.w, st.frames)
+		st.frames = st.frames[:0]
+	}
 	if err != nil {
 		return errClientGone
 	}
@@ -414,10 +427,14 @@ func (s *tailSource) drain(st *stream) error {
 			if m.Offset <= s.lastSent {
 				return nil
 			}
-			st.frames = append(st.frames, messageFrame(m))
+			// A message read back from the log is delivered once and
+			// dropped: its frame goes straight into the stream's buffer
+			// instead of being built and cached per message (messageFrame).
+			st.out.write(m, m.PayloadJSON())
+			st.rendered++
 			s.lastSent = m.Offset
 			wrote++
-			if len(st.frames) >= catchUpBatch {
+			if st.rendered >= catchUpBatch {
 				return st.flush()
 			}
 			return nil
@@ -496,10 +513,7 @@ func writeFrames(w http.ResponseWriter, frames net.Buffers) error {
 }
 
 // messageFrame renders (or fetches the cached) complete SSE frame for a
-// message: "id: <offset>\nevent: message\ndata: <envelope JSON>\n\n".
-// The id: line is omitted for offset 0 (a message that never passed
-// through a broker) so the client's Last-Event-ID keeps pointing at
-// real history.
+// message (see frameWriter.write).
 //
 //dewsvet:hotpath
 func messageFrame(m core.Message) []byte {
@@ -508,30 +522,53 @@ func messageFrame(m core.Message) []byte {
 	// prebuilt bytes and the steady-state call allocates nothing.
 	//dewsvet:hotalloc-ok once-per-message render; SharedFrame caches the result for every later call
 	return m.SharedFrame(func(payloadJSON []byte) []byte {
-		body, err := json.Marshal(Envelope{
-			Offset:  m.Offset,
-			Topic:   m.Topic,
-			Time:    m.Time,
-			Payload: payloadJSON,
-			Headers: m.Headers,
-		})
-		if err != nil {
-			// Only a non-marshalable time (year outside [0,9999]) can
-			// land here; degrade to a minimal envelope rather than
-			// killing the stream.
-			body, _ = json.Marshal(Envelope{Offset: m.Offset, Topic: m.Topic, Payload: payloadJSON, Headers: m.Headers})
+		fw := framePool.Get().(*frameWriter)
+		fw.write(m, payloadJSON)
+		frame := bytes.Clone(fw.buf.Bytes())
+		fw.buf.Reset()
+		if fw.buf.Cap() <= coalesceMax {
+			framePool.Put(fw)
 		}
-		buf := make([]byte, 0, len(body)+48)
-		if m.Offset > 0 {
-			buf = append(buf, "id: "...)
-			buf = strconv.AppendUint(buf, m.Offset, 10)
-			buf = append(buf, '\n')
-		}
-		buf = append(buf, "event: message\ndata: "...)
-		buf = append(buf, body...)
-		buf = append(buf, "\n\n"...)
-		return buf
+		return frame
 	})
+}
+
+var framePool = sync.Pool{New: func() any { return new(frameWriter) }}
+
+// frameWriter renders SSE message frames into buf through enc, an
+// encoder bound to buf, so a frame costs no intermediate JSON slice.
+type frameWriter struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+	env Envelope
+}
+
+// write appends m's frame to buf: "id: <offset>\nevent: message\ndata:
+// <envelope JSON>\n\n". The id: line is omitted for offset 0 (a message
+// that never passed through a broker) so the client's Last-Event-ID
+// keeps pointing at real history.
+func (fw *frameWriter) write(m core.Message, payloadJSON []byte) {
+	if fw.enc == nil {
+		fw.enc = json.NewEncoder(&fw.buf)
+	}
+	if m.Offset > 0 {
+		fw.buf.WriteString("id: ")
+		fw.buf.Write(strconv.AppendUint(fw.buf.AvailableBuffer(), m.Offset, 10))
+		fw.buf.WriteByte('\n')
+	}
+	fw.buf.WriteString("event: message\ndata: ")
+	fw.env = Envelope{Offset: m.Offset, Topic: m.Topic, Time: m.Time, Payload: payloadJSON, Headers: m.Headers}
+	// Encode writes nothing on error and ends the JSON with a newline,
+	// the first of the two closing the frame.
+	if err := fw.enc.Encode(&fw.env); err != nil {
+		// Only a non-marshalable time (year outside [0,9999]) can land
+		// here; degrade to a minimal envelope rather than killing the
+		// stream.
+		fw.env.Time = time.Time{}
+		_ = fw.enc.Encode(&fw.env)
+	}
+	fw.env = Envelope{}
+	fw.buf.WriteByte('\n')
 }
 
 // writeEvent writes one non-message SSE frame (goodbye). id 0 omits the
