@@ -151,7 +151,8 @@ func (b *Broker) ReplayFrom(from uint64, pattern string, fn func(Message) error)
 // a gateway rendering SSE frames return the stored bytes as they are.
 // The slice is the decoder's fresh copy, shared by every copy of the
 // message — read-only, like PayloadJSON's result. The log only holds
-// JSON the broker marshaled, and its CRC check rejects corrupt frames.
+// valid JSON (the broker marshaled it, or checked a raw payload with
+// json.Valid), and its CRC check rejects corrupt frames.
 func messageOf(rec eventlog.Record) Message {
 	m := Message{Offset: rec.Offset, Topic: rec.Topic, Time: rec.Time, Headers: rec.Headers}
 	if len(rec.Payload) > 0 {

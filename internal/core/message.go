@@ -32,10 +32,13 @@ type Message struct {
 	Topic string
 	// Time is the event time of the payload.
 	Time time.Time
-	// Payload carries the typed body (ssn.Record, cep.Event, ...).
-	// Messages read back from the event log (retained after a restart,
-	// ReplayFrom) carry the stored JSON as a shared, read-only
-	// json.RawMessage.
+	// Payload carries the body in one of two forms: the typed Go value
+	// an in-process publisher handed over (ssn.Record, cep.Event, ...),
+	// or JSON as a json.RawMessage. Remote publishes (the gateway's
+	// POST /publish) carry the sender's bytes as sent, and messages read
+	// back from the event log (retained after a restart, ReplayFrom)
+	// carry the stored JSON; both are shared and read-only. Consumers
+	// read either form with PayloadAs.
 	Payload any
 	// Headers carries string metadata. Messages read back from the event
 	// log share one read-only map among records with identical headers.
@@ -73,23 +76,62 @@ type msgCache struct {
 	scratch [24]byte
 }
 
-// newMsgCache builds the shared encode cache for one durable publish,
-// rendering the payload JSON into the cache's own scratch allocation —
-// a scalar payload costs one allocation (the cache), not two.
+// newMsgCache builds the shared encode cache for one durable publish.
+// A json.RawMessage payload holding valid JSON (a remote publish) is the
+// encode cache as it is — no copy, no marshal — so the log and every SSE
+// frame carry the sender's bytes. Any other payload is rendered into the
+// cache's own scratch allocation: a scalar payload costs one allocation
+// (the cache), not two. In-process publishers can hand over any bytes,
+// so an invalid json.RawMessage takes the marshal path and its string
+// fallback.
 func newMsgCache(payload any) *msgCache {
 	c := &msgCache{}
-	c.payload = appendPayload(c.scratch[:0], payload)
+	if raw, ok := validRaw(payload); ok {
+		c.payload = raw
+	} else {
+		c.payload = appendPayload(c.scratch[:0], payload)
+	}
 	return c
 }
 
-// marshalPayload renders a payload as JSON. Payloads that do not marshal
-// (channels, funcs — nothing the system publishes) degrade to their
-// string rendering rather than failing the caller. Scalar payloads —
-// the bulk of sensor traffic — take a reflection-free path that emits
-// byte-identical output to encoding/json, which matters because the
-// durable publish path marshals every payload before the WAL append.
+// validRaw returns payload's bytes when it is a json.RawMessage holding
+// valid JSON — the form carried as it is.
+func validRaw(payload any) (json.RawMessage, bool) {
+	raw, ok := payload.(json.RawMessage)
+	return raw, ok && json.Valid(raw)
+}
+
+// marshalPayload renders a payload as JSON. A valid json.RawMessage is
+// returned as it is (shared, like PayloadJSON's result). Payloads that do
+// not marshal (channels, funcs, invalid raw JSON — nothing the system
+// publishes) degrade to their string rendering rather than failing the
+// caller. Scalar payloads — the bulk of sensor traffic — take a
+// reflection-free path that emits byte-identical output to
+// encoding/json, which matters because the durable publish path marshals
+// every payload before the WAL append.
 func marshalPayload(payload any) []byte {
+	if raw, ok := validRaw(payload); ok {
+		return raw
+	}
 	return appendPayload(nil, payload)
+}
+
+// PayloadAs reads m's payload as a T. A payload that already is a T (an
+// in-process typed publish) is returned as it is, with no allocation;
+// any other form — JSON carried from a remote publish or the event log,
+// or a different Go type — is decoded from PayloadJSON with
+// encoding/json. A payload that does not decode as a T is an error
+// naming the message's topic and offset. It is a function rather than a
+// Message method because Go methods cannot take type parameters.
+func PayloadAs[T any](m Message) (T, error) {
+	if v, ok := m.Payload.(T); ok {
+		return v, nil
+	}
+	var v T
+	if err := json.Unmarshal(m.PayloadJSON(), &v); err != nil {
+		return v, fmt.Errorf("core: payload of %s at offset %d as %T: %w", m.Topic, m.Offset, v, err)
+	}
+	return v, nil
 }
 
 // appendPayload appends the JSON rendering of payload to dst (see

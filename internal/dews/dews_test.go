@@ -488,3 +488,29 @@ func TestRepairRematerializesMissingBulletins(t *testing.T) {
 		t.Fatalf("graph holds %d triples after repair, want %d for 3 bulletin records", got, want)
 	}
 }
+
+// TestRunRejectsUndecodablePayload: the forecaster reads observations and
+// inferences in whatever form they arrive, so one that does not decode as
+// an ssn.Record or cep.Event stops Run with an error naming the topic and
+// offset, rather than being skipped. The record reaches Run as the
+// retained message its subscription replays.
+func TestRunRejectsUndecodablePayload(t *testing.T) {
+	for _, topic := range []string{"obs/mangaung/Rainfall", "event/mangaung/RainfallDeficit"} {
+		cfg := smallConfig(3)
+		cfg.Years, cfg.TrainYears = 2, 1
+		s, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Middleware().Broker().Publish(core.Message{Topic: topic, Payload: json.RawMessage(`"not a record"`)}); err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.Run()
+		if err == nil || !strings.Contains(err.Error(), topic) || !strings.Contains(err.Error(), "offset 1 ") {
+			t.Errorf("%s: Run returned %v, want an error naming the topic and offset 1", topic, err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

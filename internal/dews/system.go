@@ -735,12 +735,16 @@ func (s *System) Run() (*Result, error) {
 		}
 
 		// 3d. feature builders consume today's published messages.
-		s.consumeObservations(obsSub)
+		if err := s.consumeObservations(obsSub); err != nil {
+			return nil, err
+		}
 		for _, d := range s.districts {
 			for _, msg := range evSubs[d.name].Poll(0) {
-				if ev, ok := msg.Payload.(cep.Event); ok {
-					d.builder.addCEPSignal(ev.Type, ev.Time, ev.Confidence)
+				ev, err := core.PayloadAs[cep.Event](msg)
+				if err != nil {
+					return nil, fmt.Errorf("dews: inference: %w", err)
 				}
+				d.builder.addCEPSignal(ev.Type, ev.Time, ev.Confidence)
 			}
 		}
 
@@ -835,8 +839,9 @@ func Evaluate(name string, fc forecast.Forecaster, issues []Issue, threshold flo
 }
 
 // consumeObservations folds the day's observation messages into district
-// daily means.
-func (s *System) consumeObservations(sub *core.Subscription) {
+// daily means. Every observation counts, whatever form its payload came
+// in; one that does not decode as an ssn.Record is an error.
+func (s *System) consumeObservations(sub *core.Subscription) error {
 	type agg struct {
 		rainSum          float64
 		rainN            int
@@ -857,9 +862,9 @@ func (s *System) consumeObservations(sub *core.Subscription) {
 			a = &agg{}
 			perDistrict[district] = a
 		}
-		rec, ok := msg.Payload.(ssn.Record)
-		if !ok {
-			continue
+		rec, err := core.PayloadAs[ssn.Record](msg)
+		if err != nil {
+			return fmt.Errorf("dews: observation: %w", err)
 		}
 		switch prop {
 		case "Rainfall":
@@ -890,6 +895,7 @@ func (s *System) consumeObservations(sub *core.Subscription) {
 			safeMean(a.soilSum, a.soilN), safeMean(a.ndviSum, a.ndviN), safeMean(a.tempSum, a.tempN),
 			a.soilN > 0, a.ndviN > 0, a.tempN > 0)
 	}
+	return nil
 }
 
 func safeMean(sum float64, n int) float64 {

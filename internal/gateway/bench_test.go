@@ -110,15 +110,14 @@ func BenchmarkMessageFrameShared(b *testing.B) {
 }
 
 // BenchmarkGatewayPublishHTTP keeps an end-to-end number on the remote
-// publish path (JSON body → broker batch) for the regression guard.
+// publish path for the regression guard: one iteration is one POST
+// /publish of a 50-envelope body shaped like the serve.flood workload's
+// (load/<district>/<property> topics, a four-field object payload),
+// handled by a durable gateway — JSON body → broker batch → event-log
+// append. It calls the handler directly, so no socket time is measured.
 func BenchmarkGatewayPublishHTTP(b *testing.B) {
-	broker := core.NewBroker()
-	g, err := New(Config{Broker: broker})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer g.Close()
-	body := `{"topic":"obs/mangaung/Rainfall","payload":{"value":1.25}}`
+	_, g, _ := durableBenchGateway(b)
+	body := floodBody(50)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -129,6 +128,26 @@ func BenchmarkGatewayPublishHTTP(b *testing.B) {
 			b.Fatalf("publish status %d", rec.Code)
 		}
 	}
+}
+
+// floodBody renders a POST /publish body of n envelopes in the shape the
+// serve.flood workload sends, with fixed rather than random districts,
+// properties and values.
+func floodBody(n int) string {
+	districts := []string{"mangaung", "xhariep", "lejweleputswa", "thabo-mofutsanyana", "fezile-dabi"}
+	properties := []string{"rainfall", "soil-moisture", "air-temperature", "relative-humidity", "wind-speed", "water-level"}
+	var sb strings.Builder
+	sb.WriteByte('[')
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		d, p := districts[i%len(districts)], properties[i%len(properties)]
+		fmt.Fprintf(&sb, `{"topic":"load/%s/%s","payload":{"node":"bench-%s-%d","seq":%d,"property":"%s","value":%.4f}}`,
+			d, p, d, 10+i%8, i, p, float64(i*7919%400000)/10000)
+	}
+	sb.WriteByte(']')
+	return sb.String()
 }
 
 // durableBenchGateway is a gateway over a durable broker behind a real

@@ -221,21 +221,19 @@ func envelopeOf(m core.Message) Envelope {
 	return Envelope{Offset: m.Offset, Topic: m.Topic, Time: m.Time, Payload: m.PayloadJSON(), Headers: m.Headers}
 }
 
-// message converts a wire envelope to a core.Message. JSON payloads
-// decode to generic values (maps, slices, numbers), so remote publishes
-// interoperate with in-process subscribers structurally, not by Go type.
+// message converts a wire envelope to a core.Message. The payload is
+// carried as sent: the json.RawMessage the request body decoded into,
+// which that decode has already validated and copied out of the body.
+// The broker logs those bytes and every SSE frame carries them, so key
+// order and number spelling survive; consumers read the payload with
+// core.PayloadAs.
 func (e Envelope) message(now time.Time) core.Message {
 	m := core.Message{Topic: e.Topic, Time: e.Time, Headers: e.Headers}
 	if m.Time.IsZero() {
 		m.Time = now
 	}
 	if len(e.Payload) > 0 {
-		var v any
-		if err := json.Unmarshal(e.Payload, &v); err == nil {
-			m.Payload = v
-		} else {
-			m.Payload = string(e.Payload)
-		}
+		m.Payload = e.Payload
 	}
 	return m
 }

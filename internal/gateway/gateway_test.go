@@ -198,9 +198,14 @@ func TestPublishSingleAndBatch(t *testing.T) {
 	if len(msgs) != 3 {
 		t.Fatalf("subscriber saw %d messages", len(msgs))
 	}
-	payload, ok := msgs[0].Payload.(map[string]any)
-	if !ok || payload["value"].(float64) != 1.5 {
-		t.Errorf("payload decoded as %#v", msgs[0].Payload)
+	// The payload is carried as sent (the request encoder compacted it),
+	// and PayloadAs reads it back.
+	raw, ok := msgs[0].Payload.(json.RawMessage)
+	if !ok || string(raw) != `{"value":1.5}` {
+		t.Errorf("payload carried as %#v, want json.RawMessage {\"value\":1.5}", msgs[0].Payload)
+	}
+	if v, err := core.PayloadAs[struct{ Value float64 }](msgs[0]); err != nil || v.Value != 1.5 {
+		t.Errorf("PayloadAs read %+v, %v; want value 1.5", v, err)
 	}
 	if msgs[0].Headers["unit"] != "mm" {
 		t.Errorf("headers lost: %v", msgs[0].Headers)

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -347,6 +348,90 @@ func TestReplayedFramesMatchLiveFrames(t *testing.T) {
 		if want[i].ID != strconv.Itoa(i+1) || want[i].Data != string(body) {
 			t.Fatalf("event %d: id %q data %s, want id %d data %s", i, want[i].ID, want[i].Data, i+1, body)
 		}
+	}
+}
+
+// TestRemotePayloadCarriedAsSent: a payload sent to POST /publish is
+// carried as sent into the log, PayloadJSON, the live SSE frame and a
+// resumed frame — key order, the integer 9007199254740993 (no float64
+// holds it) and the spelling 3.1000 all survive, byte for byte.
+func TestRemotePayloadCarriedAsSent(t *testing.T) {
+	const payload = `{"node":"n-1","id":9007199254740993,"value":3.1000}`
+	l, err := eventlog.Open(eventlog.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = l.Close() })
+	b := core.NewBroker()
+	if _, err := b.AttachLog(l); err != nil {
+		t.Fatal(err)
+	}
+	g, err := New(Config{Broker: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(g)
+	t.Cleanup(srv.Close)
+	t.Cleanup(func() { _ = g.Close() })
+	sub, err := b.Subscribe("obs/#", 4, core.DropOldest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := subscribeSSE(t, srv, "obs/#", nil)
+
+	resp, err := srv.Client().Post(srv.URL+"/publish", "application/json",
+		strings.NewReader(`{"topic":"obs/mangaung/Rainfall","payload":`+payload+`}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("publish status %d", resp.StatusCode)
+	}
+
+	check := func(where string, got []byte) {
+		t.Helper()
+		if string(got) != payload {
+			t.Errorf("%s: payload %s, want %s", where, got, payload)
+		}
+	}
+	recs, _, err := l.Read(1, 10)
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("log holds %d records (%v), want 1", len(recs), err)
+	}
+	check("logged record", recs[0].Payload)
+	msgs := sub.Poll(0)
+	if len(msgs) != 1 {
+		t.Fatalf("subscriber saw %d messages, want 1", len(msgs))
+	}
+	check("PayloadJSON", msgs[0].PayloadJSON())
+	check("live frame", live.collect(t, 1)[0].Payload)
+	_, resumed := nextMessage(t, resumeSSE(t, srv, "obs/#", "", map[string]string{"from": "1"}))
+	check("resumed frame", resumed.Payload)
+}
+
+// TestInvalidRawPayloadLogsValidJSON: an in-process publisher can hand
+// the broker a json.RawMessage that is not JSON. It is not carried as
+// sent: it lands in the log as valid JSON (its string rendering), and a
+// resumed stream reads it back.
+func TestInvalidRawPayloadLogsValidJSON(t *testing.T) {
+	b, srv := durableGateway(t, t.TempDir(), nil)
+	if _, err := b.Publish(core.Message{Topic: "evt/d1/raw", Payload: json.RawMessage(`{nope`)}); err != nil {
+		t.Fatal(err)
+	}
+	var logged []byte
+	if _, err := b.ReplayFrom(1, "#", func(m core.Message) error {
+		logged = m.PayloadJSON()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid(logged) {
+		t.Fatalf("logged payload %q is not valid JSON", logged)
+	}
+	_, env := nextMessage(t, resumeSSE(t, srv, "evt/#", "", map[string]string{"from": "1"}))
+	if string(env.Payload) != string(logged) {
+		t.Errorf("resumed payload %s, logged %s", env.Payload, logged)
 	}
 }
 
