@@ -8,8 +8,8 @@
 // rainfall region (wet season roughly October–March, ~550 mm/yr). The
 // generator is calibrated to that regime so that forecast-skill
 // experiments (EXP-C1) run against drought episodes with realistic
-// persistence; the substitution for the real testbed is documented in
-// DESIGN.md.
+// persistence. It stands in for real Free State rainfall records, which
+// the paper does not publish.
 package climate
 
 import (

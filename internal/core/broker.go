@@ -486,7 +486,7 @@ func putMatched(mp *[]*subEntry) {
 // marshaling, record encoding, retained updates and trie matching all
 // run outside any shared critical section.
 //
-//dewsvet:hotpath
+// TestPublishAllocs pins its allocation budget.
 func (b *Broker) Publish(m Message) (int, error) {
 	if err := m.Validate(); err != nil {
 		return 0, err
@@ -544,7 +544,7 @@ func (b *Broker) stamp(m *Message) error {
 // total number of subscription deliveries. Validation happens up front:
 // an invalid message fails the whole batch before anything is published.
 //
-//dewsvet:hotpath
+// TestPublishBatchAllocs pins its allocation budget.
 func (b *Broker) PublishBatch(msgs []Message) (int, error) {
 	for _, m := range msgs {
 		if err := m.Validate(); err != nil {
@@ -555,7 +555,7 @@ func (b *Broker) PublishBatch(msgs []Message) (int, error) {
 		return 0, nil
 	}
 	if l := b.log.Load(); l != nil {
-		recs := make([]eventlog.Record, len(msgs)) //dewsvet:hotalloc-ok one record slice amortized over the whole batch
+		recs := make([]eventlog.Record, len(msgs))
 		for i := range msgs {
 			c := newMsgCache(msgs[i].Payload)
 			msgs[i].cache = c
@@ -594,7 +594,7 @@ func (b *Broker) PublishBatch(msgs []Message) (int, error) {
 	// per-message end offsets — two bookkeeping slices per batch instead
 	// of one match slice per message. One index load serves the batch.
 	mp := matchPool.Get().(*[]*subEntry)
-	ends := make([]int, len(msgs)) //dewsvet:hotalloc-ok one end-offset slice amortized over the whole batch
+	ends := make([]int, len(msgs))
 	flat := *mp
 	root := b.index.Load()
 	for i := range msgs {

@@ -59,8 +59,6 @@ type Message struct {
 // each encoding exactly once. Because the pointer is shared by every
 // copy, only this file's once-only builders (newMsgCache, PayloadJSON,
 // SharedFrame — all under mu after construction) may write its fields.
-//
-//dewsvet:immutable
 type msgCache struct {
 	mu sync.Mutex
 	// payload is the payload marshaled as JSON.

@@ -29,8 +29,6 @@ package core
 // concurrent matchers iterating an old snapshot see a frozen, complete
 // tree. Mutations are serialized by the broker (subMu); only the
 // matchers are concurrent.
-//
-//dewsvet:immutable
 type trieNode struct {
 	// children holds exact-segment subtrees, sorted by segment.
 	children []trieChild
@@ -45,8 +43,6 @@ type trieNode struct {
 
 // trieChild binds one exact segment to its subtree. Like trieNode it is
 // frozen once reachable from a published root.
-//
-//dewsvet:immutable
 type trieChild struct {
 	// seg is a substring of some registered pattern, which the tree
 	// retains via subEntry anyway, so storing it directly pins nothing

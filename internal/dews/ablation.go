@@ -14,9 +14,8 @@ type AblationResult struct {
 }
 
 // RunFusionAblation runs one simulation with issue recording and then
-// re-scores fusion variants offline, answering the design questions
-// DESIGN.md calls out: how much of the fused forecaster's skill comes
-// from each evidence stream?
+// re-scores fusion variants offline, answering one design question: how
+// much of the fused forecaster's skill comes from each evidence stream?
 //
 // Variants:
 //

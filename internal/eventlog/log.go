@@ -20,9 +20,10 @@ import (
 
 // Defaults for Config zero values.
 const (
-	defaultSegmentBytes    = 8 << 20
-	defaultFsyncInterval   = 25 * time.Millisecond
-	defaultCompactInterval = 30 * time.Second
+	defaultSegmentBytes  = 8 << 20
+	defaultFsyncInterval = 25 * time.Millisecond
+	// compactInterval is the retention sweep cadence.
+	compactInterval = 30 * time.Second
 	// maxRecordBytes bounds one framed record. The gateway already caps
 	// payloads at 64KiB; this is a corruption guard, not a policy knob —
 	// a frame header claiming more than this is treated as garbage.
@@ -85,8 +86,6 @@ type Config struct {
 	// only buffer-write; the sync loop flushes dirty segments on this
 	// timer, so one fsync amortizes over every append in the window.
 	FsyncInterval time.Duration
-	// CompactInterval is the retention sweep cadence (default 30s).
-	CompactInterval time.Duration
 }
 
 func (c *Config) applyDefaults() {
@@ -95,9 +94,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.FsyncInterval <= 0 {
 		c.FsyncInterval = defaultFsyncInterval
-	}
-	if c.CompactInterval <= 0 {
-		c.CompactInterval = defaultCompactInterval
 	}
 }
 
@@ -485,7 +481,7 @@ func (l *Log) appendFrameLocked(frame []byte) (uint64, error) {
 // encoding; WAL order equals offset order by construction. Durability
 // arrives with the next batched fsync (or Sync/Close).
 //
-//dewsvet:hotpath
+// TestAppendAllocs pins its allocation budget.
 func (l *Log) Append(rec Record) (uint64, error) {
 	bp := encPool.Get().(*[]byte)
 	buf, err := encodeFrame((*bp)[:0], &rec)
@@ -512,14 +508,14 @@ func (l *Log) Append(rec Record) (uint64, error) {
 // records are durably appended (offsets first..first+n-1) and the rest
 // were not. An empty batch returns (0, 0, nil).
 //
-//dewsvet:hotpath
+// TestAppendBatchAllocs pins its allocation budget.
 func (l *Log) AppendBatch(recs []Record) (first uint64, n int, err error) {
 	if len(recs) == 0 {
 		return 0, 0, nil
 	}
 	bp := encPool.Get().(*[]byte)
 	buf := (*bp)[:0]
-	starts := make([]int, len(recs)+1) //dewsvet:hotalloc-ok one frame-offset slice amortized over the whole batch
+	starts := make([]int, len(recs)+1)
 	for i := range recs {
 		starts[i] = len(buf)
 		if buf, err = encodeFrame(buf, &recs[i]); err != nil {
@@ -778,7 +774,7 @@ func (l *Log) syncLoop() {
 // compactLoop periodically applies retention.
 func (l *Log) compactLoop() {
 	defer l.wg.Done()
-	tick := time.NewTicker(l.cfg.CompactInterval)
+	tick := time.NewTicker(compactInterval)
 	defer tick.Stop()
 	for {
 		select {

@@ -21,7 +21,8 @@ const (
 	defaultMaxBuffer    = 4096
 	defaultKeepAlive    = 15 * time.Second
 	defaultWriteTimeout = 30 * time.Second
-	defaultMaxQueues    = 1024
+	// maxQueues bounds concurrently registered ack queues.
+	maxQueues = 1024
 	// maxPublishBytes bounds a /publish request body.
 	maxPublishBytes = 4 << 20
 	// maxPayloadBytes bounds one envelope's payload. Every published
@@ -40,10 +41,6 @@ type Config struct {
 	DefaultBuffer int
 	// MaxBuffer caps client-requested buffer sizes (default 4096).
 	MaxBuffer int
-	// DropLimit disconnects an SSE client once its subscription has
-	// dropped this many messages to backpressure (default: the client's
-	// buffer size).
-	DropLimit int
 	// KeepAlive is how long an SSE stream stays silent before a comment
 	// heartbeat goes out (default 15s); data writes push it back.
 	KeepAlive time.Duration
@@ -52,8 +49,6 @@ type Config struct {
 	// write and is disconnected, so a dead connection cannot pin its
 	// pump goroutine or wedge Shutdown.
 	WriteTimeout time.Duration
-	// MaxQueues bounds concurrently registered ack queues (default 1024).
-	MaxQueues int
 	// Extra, when set, contributes an application-defined section to
 	// /stats (the DEWS wires its ingest and dissemination totals here).
 	Extra func() map[string]any
@@ -76,9 +71,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = defaultWriteTimeout
-	}
-	if c.MaxQueues <= 0 {
-		c.MaxQueues = defaultMaxQueues
 	}
 }
 

@@ -94,10 +94,10 @@ func (g *Gateway) handleQueueCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	g.qmu.Lock()
-	if len(g.queues) >= g.cfg.MaxQueues {
+	if len(g.queues) >= maxQueues {
 		g.qmu.Unlock()
 		g.cfg.Broker.UnsubscribeAck(sub)
-		httpError(w, http.StatusTooManyRequests, "queue limit %d reached", g.cfg.MaxQueues)
+		httpError(w, http.StatusTooManyRequests, "queue limit %d reached", maxQueues)
 		return
 	}
 	g.nextQ++

@@ -229,9 +229,9 @@ func TestResumeAcrossRestart(t *testing.T) {
 
 // TestResumeOutpacedClientLosesNothing floods a resumed stream far
 // faster than any buffer would absorb: delivery comes straight from the
-// log, so under the *default* config (no raised DropLimit) the client
-// is neither evicted as a slow consumer nor missing a single event —
-// each arrives exactly once, in offset order.
+// log, so even with a two-message buffer the client is neither evicted
+// as a slow consumer nor missing a single event — each arrives exactly
+// once, in offset order.
 func TestResumeOutpacedClientLosesNothing(t *testing.T) {
 	const total = 400
 	b, srv := durableGateway(t, t.TempDir(), nil)

@@ -108,10 +108,6 @@ func (g *Gateway) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			after = 0
 		}
 	}
-	dropLimit := g.cfg.DropLimit
-	if dropLimit <= 0 {
-		dropLimit = buffer
-	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		httpError(w, http.StatusInternalServerError, "response writer cannot stream")
@@ -146,7 +142,7 @@ func (g *Gateway) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer g.cfg.Broker.Unsubscribe(sub)
-	g.pump(st, &liveSource{sub: sub, replayDropped: sub.Dropped(), dropLimit: dropLimit, after: after})
+	g.pump(st, &liveSource{sub: sub, replayDropped: sub.Dropped(), dropLimit: buffer, after: after})
 }
 
 // stream is one SSE response being written: the client side of the
@@ -346,7 +342,9 @@ type liveSource struct {
 	// client's buffer overflows it before the client had any chance to
 	// read. Those drops are the replay's, not the consumer's.
 	replayDropped int
-	dropLimit     int
+	// dropLimit is the client's buffer size: a consumer that loses a
+	// whole buffer's worth of messages is evicted.
+	dropLimit int
 	// after suppresses offsets the client already saw on a best-effort
 	// resume without a log (0 = deliver everything); history itself is
 	// gone.
@@ -515,12 +513,11 @@ func writeFrames(w http.ResponseWriter, frames net.Buffers) error {
 // messageFrame renders (or fetches the cached) complete SSE frame for a
 // message (see frameWriter.write).
 //
-//dewsvet:hotpath
+// TestMessageFrameAllocs pins its allocation budget.
 func messageFrame(m core.Message) []byte {
 	// The render closure runs at most once per published message —
 	// SharedFrame caches the frame, so every later subscriber gets the
 	// prebuilt bytes and the steady-state call allocates nothing.
-	//dewsvet:hotalloc-ok once-per-message render; SharedFrame caches the result for every later call
 	return m.SharedFrame(func(payloadJSON []byte) []byte {
 		fw := framePool.Get().(*frameWriter)
 		fw.write(m, payloadJSON)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -27,6 +28,9 @@ const (
 	// checkpointFraction triggers a checkpoint once the WAL tail holds
 	// more than this fraction of the graph's triples.
 	checkpointFraction = 0.25
+	// checkpointMinTail is an absolute floor: no checkpoint happens while
+	// the tail holds fewer triples than this, however small the graph.
+	checkpointMinTail = 10000
 
 	snapSuffix = ".gsnap"
 )
@@ -47,18 +51,11 @@ type Config struct {
 	// the tail-size trigger (default 15s; negative disables background
 	// checkpointing — Checkpoint can still be called manually).
 	CheckpointInterval time.Duration
-	// CheckpointMinTail is an absolute floor: no checkpoint happens while
-	// the tail holds fewer triples than this, however small the graph
-	// (default 10000).
-	CheckpointMinTail int
 }
 
 func (c *Config) applyDefaults() {
 	if c.CheckpointInterval == 0 {
 		c.CheckpointInterval = 15 * time.Second
-	}
-	if c.CheckpointMinTail <= 0 {
-		c.CheckpointMinTail = 10000
 	}
 }
 
@@ -429,7 +426,7 @@ func (st *Store) dropSnapshotsBelow(keep uint64) error {
 	}
 	for _, p := range snaps {
 		base := strings.TrimSuffix(filepath.Base(p), snapSuffix)
-		if off, err := parseUint(base); err == nil && off < keep {
+		if off, err := strconv.ParseUint(base, 10, 64); err == nil && off < keep {
 			os.Remove(p)
 		}
 	}
@@ -445,20 +442,6 @@ func (st *Store) snapshotPaths() ([]string, error) {
 	}
 	sort.Strings(paths)
 	return paths, nil
-}
-
-func parseUint(s string) (uint64, error) {
-	var v uint64
-	if s == "" {
-		return 0, errors.New("empty")
-	}
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			return 0, fmt.Errorf("bad digit %q", c)
-		}
-		v = v*10 + uint64(c-'0')
-	}
-	return v, nil
 }
 
 // checkpointLoop polls the tail-size trigger.
@@ -486,7 +469,7 @@ func (st *Store) shouldCheckpoint() bool {
 		return false
 	}
 	tail := st.tailTriples
-	if tail < uint64(st.cfg.CheckpointMinTail) {
+	if tail < checkpointMinTail {
 		return false
 	}
 	return float64(tail) >= checkpointFraction*float64(st.g.Len())

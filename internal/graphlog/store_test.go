@@ -177,6 +177,31 @@ func TestStoreSkipsCorruptSnapshot(t *testing.T) {
 	}
 }
 
+// TestCheckpointKeepsOverflowingSnapshotName: a snapshot-like file name
+// whose digits overflow a uint64 names no offset, so a checkpoint's
+// sweep of older snapshots leaves the file alone.
+func TestCheckpointKeepsOverflowingSnapshotName(t *testing.T) {
+	dir := t.TempDir()
+	st := openTestStore(t, dir, Config{})
+	defer st.Close()
+	// 10·2^64 + 3: read digit by digit into a uint64, it wraps to 3.
+	odd := filepath.Join(dir, "184467440737095516163"+snapSuffix)
+	if err := os.WriteFile(odd, []byte("not a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if err := st.AddAll(bulletin(i)...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(odd); err != nil {
+		t.Fatalf("checkpoint removed %s: %v", filepath.Base(odd), err)
+	}
+}
+
 func TestStoreRefusesTruncatedWALWithoutSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	st := openTestStore(t, dir, Config{})

@@ -23,8 +23,9 @@ type GeneratorConfig struct {
 
 // GenerateReports synthesizes informant reports over a simulated series.
 //
-// The generative story (DESIGN.md substitution table): a sign "really
-// shows" ahead of a drought when the ground truth says a drought is
+// These synthetic reports stand in for real informant reports, which the
+// paper does not publish. The generative story: a sign "really shows"
+// ahead of a drought when the ground truth says a drought is
 // underway LeadTimeDays later; an informant with skill s reports the sign
 // correctly with probability s and hallucinates it with probability
 // (1-s)/3. Wet-polarity signs mirror this against upcoming wet (non-

@@ -7,8 +7,8 @@
 //
 // The paper classifies environmental entities with exactly these
 // categories ("the entities will be identified and classified based on
-// DOLCE classification of endurants, perdurants and quality"), so this is
-// the fragment we axiomatize; the substitution is recorded in DESIGN.md.
+// DOLCE classification of endurants, perdurants and quality"), so this
+// fragment stands in for the full DOLCE ontology.
 package dolce
 
 import (

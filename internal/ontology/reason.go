@@ -267,9 +267,10 @@ func (Reasoner) ruleDisjointSymmetry(g *rdf.Snapshot, add func(rdf.Triple)) {
 	})
 }
 
-// owl:sameAs symmetry and transitivity. Full individual substitution is
-// deliberately out of scope (documented in DESIGN.md); type propagation
-// across sameAs is included since classification depends on it.
+// owl:sameAs symmetry and transitivity. Full individual substitution
+// (copying every statement about an individual onto its aliases) is out
+// of scope; type propagation across sameAs is included since
+// classification depends on it.
 func (Reasoner) ruleSameAs(g *rdf.Snapshot, add func(rdf.Triple)) {
 	g.ForEachMatch(nil, rdf.OWLSameAs, nil, func(t1 rdf.Triple) bool {
 		if o, ok := t1.O.(rdf.IRI); ok {

@@ -131,8 +131,6 @@ func mergeSorted(base, delta []Key3) []Key3 {
 //
 // Snapshots also expose the dictionary-encoded (ID-level) form of the
 // data, which the SPARQL executor joins over directly.
-//
-//dewsvet:immutable
 type Snapshot struct {
 	d     *dict
 	terms []Term // frozen decode table: ID-1 → term
@@ -145,9 +143,8 @@ type Snapshot struct {
 // newSnapshot builds a snapshot over a graph's current runs: the sealed
 // base and mid arrays are shared (the graph never mutates them in
 // place), the small unsealed delta is copied so later writes cannot
-// leak into the frozen view. It lives here, next to the type, so every
-// write to Snapshot fields stays in the declaring file — after this
-// constructor returns, the snapshot is frozen.
+// leak into the frozen view. After this constructor returns, the
+// snapshot is frozen.
 func newSnapshot(d *dict, terms []Term, base, mid, delta [nIndexes][]Key3, n int) *Snapshot {
 	s := &Snapshot{d: d, terms: terms, base: base, mid: mid, n: n}
 	for i := range delta {

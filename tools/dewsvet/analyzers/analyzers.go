@@ -3,13 +3,11 @@ package analyzers
 import "repro/tools/dewsvet/analysis"
 
 // All returns the full dewsvet suite in the order findings are
-// documented: concurrency first, durability, then immutability.
+// documented: concurrency first, then durability.
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		Lockhold,
 		Rcusnap,
-		Hotalloc,
 		Wralerr,
-		Immutafter,
 	}
 }

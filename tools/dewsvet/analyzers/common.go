@@ -1,19 +1,16 @@
-// Package analyzers holds the five dewsvet checks and their shared
+// Package analyzers holds the three dewsvet checks and their shared
 // machinery: annotation/allowlist comment indexing, a held-mutex
 // statement walker, and call-classification helpers.
 //
 // Conventions enforced across the repository:
 //
 //   - //dewsvet:rcu          on an atomic.Pointer field: RCU discipline
-//   - //dewsvet:hotpath      on a function: allocation-sensitive
-//   - //dewsvet:immutable    on a type: no field writes outside its file
 //   - //dewsvet:<name>-ok R  on/above a line (or in a function's doc
 //     comment): deliberate, reasoned exception for analyzer <name>
 //
 // All checks are package-local: annotations are only visible to the
 // package that declares them, which matches how the invariants are
-// used — every annotated type and field is mutated only inside its own
-// package.
+// used — every annotated field is mutated only inside its own package.
 package analyzers
 
 import (
@@ -30,7 +27,7 @@ import (
 // Annotation and allowlist comments
 
 // commentHasMarker reports whether a single comment's text carries the
-// given dewsvet marker ("dewsvet:hotpath", "dewsvet:lockhold-ok", ...),
+// given dewsvet marker ("dewsvet:rcu", "dewsvet:lockhold-ok", ...),
 // alone or followed by free text.
 func commentHasMarker(text, marker string) bool {
 	text = strings.TrimPrefix(text, "//")

@@ -15,9 +15,9 @@ import (
 //   - writers: .Store/.Swap/.CompareAndSwap only while a guard mutex is
 //     held (or in a function that runs with the caller's lock by
 //     convention), so concurrent updaters serialize on copy-on-write;
-//   - readers on //dewsvet:hotpath functions: at most one .Load() per
-//     field per function — two Loads can observe two different
-//     generations of the structure mid-operation;
+//   - readers: at most one .Load() per field per function — two Loads
+//     can observe two different generations of the structure
+//     mid-operation;
 //   - nobody writes through a loaded snapshot: a value obtained from
 //     .Load() is shared with every concurrent reader and frozen.
 var Rcusnap = &analysis.Analyzer{
@@ -43,8 +43,7 @@ func runRcusnap(pass *analysis.Pass) error {
 				continue
 			}
 			_, entry := heldAtEntry(fd)
-			hot := docHasMarker(fd.Doc, "dewsvet:hotpath")
-			checkRcuFunc(pass, sup, fd, rcu, entry, hot)
+			checkRcuFunc(pass, sup, fd, rcu, entry)
 		}
 	}
 	return nil
@@ -113,8 +112,8 @@ func rcuFieldAccess(pass *analysis.Pass, call *ast.CallExpr, rcu map[*types.Var]
 	return v, sel.Sel.Name, true
 }
 
-func checkRcuFunc(pass *analysis.Pass, sup *suppressor, fd *ast.FuncDecl, rcu map[*types.Var]bool, entryHeld, hot bool) {
-	loads := make(map[*types.Var]int)     // per-field Load count (hot-path budget)
+func checkRcuFunc(pass *analysis.Pass, sup *suppressor, fd *ast.FuncDecl, rcu map[*types.Var]bool, entryHeld bool) {
+	loads := make(map[*types.Var]int)     // per-field Load count
 	snapVars := make(map[*types.Var]bool) // variables bound to a loaded snapshot
 
 	// First sweep: classify every atomic.Pointer access on an RCU field
@@ -134,8 +133,8 @@ func checkRcuFunc(pass *analysis.Pass, sup *suppressor, fd *ast.FuncDecl, rcu ma
 			switch method {
 			case "Load":
 				loads[field]++
-				if hot && loads[field] > 1 {
-					sup.report(pass, call.Pos(), "hot-path function %s Loads RCU field %s more than once; load one snapshot and reuse it", fd.Name.Name, field.Name())
+				if loads[field] > 1 {
+					sup.report(pass, call.Pos(), "%s Loads RCU field %s more than once; load one snapshot and reuse it", fd.Name.Name, field.Name())
 				}
 			case "Store", "Swap", "CompareAndSwap":
 				if !entryHeld && len(held) == 0 {

@@ -15,10 +15,6 @@ func TestRcusnap(t *testing.T) {
 	analysistest.Run(t, analyzers.Rcusnap, "rcusnap", "dewsvet/testdata/rcusnap")
 }
 
-func TestHotalloc(t *testing.T) {
-	analysistest.Run(t, analyzers.Hotalloc, "hotalloc", "dewsvet/testdata/hotalloc")
-}
-
 func TestWralerr(t *testing.T) {
 	// The golden package masquerades as the WAL package: wralerr scopes
 	// by import path.
@@ -28,8 +24,4 @@ func TestWralerr(t *testing.T) {
 func TestWralerrScope(t *testing.T) {
 	// Outside the durability-critical packages the analyzer stays quiet.
 	analysistest.Run(t, analyzers.Wralerr, "wralerr_scope", "repro/internal/cep")
-}
-
-func TestImmutafter(t *testing.T) {
-	analysistest.Run(t, analyzers.Immutafter, "immutafter", "dewsvet/testdata/immutafter")
 }

@@ -1,6 +1,9 @@
-// Command dewsvet is the project's static-analysis suite: five
-// analyzers that machine-enforce the broker's concurrency and hot-path
-// invariants (see ARCHITECTURE.md, "Machine-checked invariants").
+// Command dewsvet is the project's static-analysis suite: three
+// analyzers that machine-enforce the broker's concurrency and
+// durability invariants (see ARCHITECTURE.md, "Machine-checked
+// invariants"). Allocation budgets are not checked here: each hot
+// function's count is measured by a testing.AllocsPerRun test in its
+// own package.
 //
 // It speaks the `go vet -vettool` protocol, so the whole tree is
 // checked with:
@@ -10,13 +13,10 @@
 //
 // Analyzers:
 //
-//	lockhold   — blocking operations while a sync.Mutex/RWMutex is held
-//	rcusnap    — RCU discipline on //dewsvet:rcu atomic.Pointer fields
-//	hotalloc   — heap-allocating constructs in //dewsvet:hotpath functions
-//	wralerr    — discarded Flush/Sync/Close/Write errors in durability-
-//	             critical packages
-//	immutafter — field writes to //dewsvet:immutable types outside their
-//	             declaring file
+//	lockhold — blocking operations while a sync.Mutex/RWMutex is held
+//	rcusnap  — RCU discipline on //dewsvet:rcu atomic.Pointer fields
+//	wralerr  — discarded Flush/Sync/Close/Write errors in durability-
+//	           critical packages
 //
 // Deliberate violations are suppressed with a reasoned allowlist
 // comment on (or directly above) the offending line:
@@ -91,6 +91,6 @@ Analyzers:
 		if i := strings.IndexByte(doc, '\n'); i >= 0 {
 			doc = doc[:i]
 		}
-		fmt.Fprintf(os.Stderr, "  %-11s %s\n", a.Name, doc)
+		fmt.Fprintf(os.Stderr, "  %-9s %s\n", a.Name, doc)
 	}
 }

@@ -44,31 +44,31 @@ func (b *B) plainStore(n *node) {
 	b.plain.Store(n)
 }
 
-// hotDouble violates the one-snapshot rule: the two Loads can observe
+// double violates the one-snapshot rule: the two Loads can observe
 // two different generations.
-//
-//dewsvet:hotpath
-func (b *B) hotDouble() int {
+func (b *B) double() int {
 	a := b.index.Load()
-	c := b.index.Load() // want `hot-path function hotDouble Loads RCU field index more than once`
+	c := b.index.Load() // want `double Loads RCU field index more than once`
 	if a == nil || c == nil {
 		return 0
 	}
 	return a.val + c.val
 }
 
-// coldDouble is not hot-path annotated: the Load budget does not apply.
-func (b *B) coldDouble() int {
-	a := b.index.Load()
-	c := b.index.Load()
-	if a == nil || c == nil {
-		return 0
+// walkTwice is an ordinary helper, not a publish path: its second walk
+// can still see a newer generation than its first.
+func walkTwice(b *B) int {
+	n := 0
+	for s := b.index.Load(); s != nil; s = s.next {
+		n++
 	}
-	return a.val + c.val
+	for s := b.index.Load(); s != nil; s = s.next { // want `walkTwice Loads RCU field index more than once`
+		n--
+	}
+	return n
 }
 
-//dewsvet:hotpath
-func (b *B) hotSingle() int {
+func (b *B) single() int {
 	root := b.index.Load()
 	if root == nil {
 		return 0
