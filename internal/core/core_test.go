@@ -420,54 +420,6 @@ SELECT ?where (COUNT(*) AS ?n) WHERE {
 	}
 }
 
-func TestServiceRegistryDiscovery(t *testing.T) {
-	m := buildMiddleware(t)
-	seg := m.Segment()
-	err := seg.RegisterService(ServiceDescription{
-		ID:          rdf.NSDEWS.IRI("svc/met-forecast"),
-		Capability:  drought.MeteorologicalDrought,
-		Endpoint:    "event/+/MeteorologicalDrought",
-		Description: "Meteorological drought inference feed",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = seg.RegisterService(ServiceDescription{
-		ID:         rdf.NSDEWS.IRI("svc/agri-forecast"),
-		Capability: drought.AgriculturalDrought,
-		Endpoint:   "event/+/AgriculturalDrought",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Discovery by the superclass finds both (subsumption-aware).
-	found := seg.Discover(drought.DroughtEvent)
-	if len(found) != 2 {
-		t.Fatalf("Discover(DroughtEvent) = %d, want 2", len(found))
-	}
-	// Exact capability finds one.
-	if got := seg.Discover(drought.AgriculturalDrought); len(got) != 1 {
-		t.Errorf("Discover(Agricultural) = %d", len(got))
-	}
-	// Registered services are queryable via SPARQL.
-	sols, err := seg.Select(`
-PREFIX dews: <http://dews.africrid.example/ontology/drought#>
-SELECT ?s ?e WHERE { ?s a dews:SemanticService ; dews:endpoint ?e . }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sols.Rows) != 2 {
-		t.Errorf("SPARQL service rows = %d", len(sols.Rows))
-	}
-	if len(seg.Services()) != 2 {
-		t.Error("Services() listing wrong")
-	}
-	// Invalid descriptions rejected.
-	if err := seg.RegisterService(ServiceDescription{}); err == nil {
-		t.Error("empty service should be rejected")
-	}
-}
-
 func TestProtocolLayer(t *testing.T) {
 	p := NewProtocolLayer()
 	c1, c2 := wsn.NewCloudStore(), wsn.NewCloudStore()

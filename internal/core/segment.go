@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -12,37 +11,8 @@ import (
 	"repro/internal/sparql"
 )
 
-// ServiceDescription is a semantic service description in the registry
-// ("semantic services description module" of Figure 3): a capability is
-// an ontology class; discovery is subsumption-aware.
-type ServiceDescription struct {
-	// ID is the service IRI.
-	ID rdf.IRI
-	// Capability is the ontology class the service provides
-	// (e.g. dews:MeteorologicalDrought forecasts).
-	Capability rdf.IRI
-	// Endpoint is the broker topic (or URL) the service serves on.
-	Endpoint string
-	// Description is human documentation.
-	Description string
-}
-
-// Validate checks the description.
-func (s ServiceDescription) Validate() error {
-	switch {
-	case s.ID == "":
-		return fmt.Errorf("core: service without ID")
-	case s.Capability == "":
-		return fmt.Errorf("core: service %s without capability", s.ID)
-	case s.Endpoint == "":
-		return fmt.Errorf("core: service %s without endpoint", s.ID)
-	}
-	return nil
-}
-
 // Segment is the ontology segment layer: unified ontology + reasoner
-// output, data graph, query engine, annotator, per-key CEP engines, and
-// the service registry.
+// output, data graph, query engine, annotator and per-key CEP engines.
 type Segment struct {
 	onto *ontology.Ontology
 	// data holds assertional knowledge produced at run time
@@ -60,7 +30,6 @@ type Segment struct {
 	// single-goroutine, so overlapping ingest cycles must take the
 	// shard's lock before feeding it.
 	cepLocks map[string]*sync.Mutex
-	services map[rdf.IRI]ServiceDescription
 }
 
 // NewSegment builds the layer around a materialized ontology and a CEP
@@ -81,7 +50,6 @@ func NewSegment(o *ontology.Ontology, rules []cep.Rule) (*Segment, error) {
 		rules:     rules,
 		cepByKey:  make(map[string]*cep.Engine),
 		cepLocks:  make(map[string]*sync.Mutex),
-		services:  make(map[rdf.IRI]ServiceDescription),
 	}
 	mediator.SeedAlignments(s.annotator.Registry())
 	return s, nil
@@ -149,51 +117,4 @@ func (s *Segment) CEPKeys() []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// RegisterService adds (or replaces) a service description and mirrors
-// it into the data graph so it is queryable via SPARQL.
-func (s *Segment) RegisterService(desc ServiceDescription) error {
-	if err := desc.Validate(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.services[desc.ID] = desc
-	svcClass := rdf.NSDEWS.IRI("SemanticService")
-	g := s.data
-	g.MustAdd(rdf.T(desc.ID, rdf.RDFType, svcClass))
-	g.MustAdd(rdf.T(desc.ID, rdf.NSDEWS.IRI("capability"), desc.Capability))
-	g.MustAdd(rdf.T(desc.ID, rdf.NSDEWS.IRI("endpoint"), rdf.NewLiteral(desc.Endpoint)))
-	if desc.Description != "" {
-		g.MustAdd(rdf.T(desc.ID, rdf.RDFSComment, rdf.NewLangLiteral(desc.Description, "en")))
-	}
-	return nil
-}
-
-// Discover returns services whose capability is the requested class or a
-// subclass of it, sorted by ID.
-func (s *Segment) Discover(capability rdf.IRI) []ServiceDescription {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []ServiceDescription
-	for _, desc := range s.services {
-		if desc.Capability == capability || s.onto.IsSubClassOf(desc.Capability, capability) {
-			out = append(out, desc)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Services lists every registered service sorted by ID.
-func (s *Segment) Services() []ServiceDescription {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]ServiceDescription, 0, len(s.services))
-	for _, d := range s.services {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }

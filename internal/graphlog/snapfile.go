@@ -306,7 +306,7 @@ func readRunSection(r *bufio.Reader, remain *int64, n int) ([]rdf.Key3, error) {
 	if got := binary.LittleEndian.Uint64(pre[:]); got != uint64(n)*key3Bytes {
 		return nil, fmt.Errorf("run section length %d, want %d for %d triples", got, n*key3Bytes, n)
 	}
-	if uint64(n)*key3Bytes > uint64(max64(*remain-4, 0)) {
+	if uint64(n)*key3Bytes > uint64(max(*remain-4, 0)) {
 		return nil, fmt.Errorf("run section exceeds remaining %d file bytes", *remain)
 	}
 	run := make([]rdf.Key3, 0, n)
@@ -368,11 +368,4 @@ func syncDir(dir string) error {
 	}
 	defer d.Close() //dewsvet:wralerr-ok the Sync result is what matters; the directory handle is read-only
 	return d.Sync()
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

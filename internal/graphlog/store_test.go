@@ -351,9 +351,9 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStoreOpensSeededSnapshot covers the offline bulk-load flow
-// (rdfpipe -to snapshot): a snapshot written at WAL offset 1, dropped
-// into an empty directory, opens as a full store that accepts writes.
+// TestStoreOpensSeededSnapshot: a snapshot written at WAL offset 1,
+// dropped into an empty directory, opens as a full store that accepts
+// writes.
 func TestStoreOpensSeededSnapshot(t *testing.T) {
 	g := rdf.NewGraph()
 	for i := 0; i < 4; i++ {

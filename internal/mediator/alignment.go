@@ -92,9 +92,6 @@ func (r *Registry) Register(vendor, wireName string, property rdf.IRI) {
 	r.exact[alignKey(vendor, wireName)] = Alignment{Property: property, Confidence: 1}
 }
 
-// LabelCount returns the size of the fuzzy corpus.
-func (r *Registry) LabelCount() int { return len(r.labels) }
-
 // Stats returns (exact hits, fuzzy hits, misses).
 func (r *Registry) Stats() (exact, fuzzy, misses int) {
 	r.mu.RLock()

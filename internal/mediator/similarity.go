@@ -26,7 +26,7 @@ func Levenshtein(a, b string) int {
 			if ra[i-1] == rb[j-1] {
 				cost = 0
 			}
-			cur[j] = minInt(cur[j-1]+1, prev[j]+1, prev[j-1]+cost)
+			cur[j] = min(cur[j-1]+1, prev[j]+1, prev[j-1]+cost)
 		}
 		prev, cur = cur, prev
 	}
@@ -55,7 +55,7 @@ func Jaro(a, b string) float64 {
 	if len(ra) == 0 || len(rb) == 0 {
 		return 0
 	}
-	window := maxInt(len(ra), len(rb))/2 - 1
+	window := max(len(ra), len(rb))/2 - 1
 	if window < 0 {
 		window = 0
 	}
@@ -63,8 +63,8 @@ func Jaro(a, b string) float64 {
 	bMatch := make([]bool, len(rb))
 	matches := 0
 	for i := range ra {
-		lo := maxInt(0, i-window)
-		hi := minInt2(len(rb)-1, i+window)
+		lo := max(0, i-window)
+		hi := min(len(rb)-1, i+window)
 		for j := lo; j <= hi; j++ {
 			if bMatch[j] || ra[i] != rb[j] {
 				continue
@@ -186,28 +186,4 @@ func normalize(s string) string {
 		b.WriteRune(unicode.ToLower(r))
 	}
 	return b.String()
-}
-
-func minInt(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
-}
-
-func minInt2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/ontology/dolce"
 	"repro/internal/ontology/ssn"
 	"repro/internal/rdf"
+	"repro/internal/sparql"
 )
 
 func TestBuildMaterialized(t *testing.T) {
@@ -69,14 +70,14 @@ func TestCausalChainTransitive(t *testing.T) {
 func TestMultilingualWaterLevelLabels(t *testing.T) {
 	o := Build()
 	// The paper's example: Hoehe (de), Stav (cs).
-	if got := o.Label(WaterLevel, "de"); got != "Hoehe" {
-		t.Errorf("German label = %q, want Hoehe", got)
-	}
-	if got := o.Label(WaterLevel, "cs"); got != "Stav" {
-		t.Errorf("Czech label = %q, want Stav", got)
-	}
-	if got := o.Label(WaterLevel, "en"); got != "water level" {
-		t.Errorf("English label = %q", got)
+	for _, l := range []rdf.Literal{
+		rdf.NewLangLiteral("Hoehe", "de"),
+		rdf.NewLangLiteral("Stav", "cs"),
+		rdf.NewLangLiteral("water level", "en"),
+	} {
+		if !o.Graph().Has(rdf.T(WaterLevel, rdf.RDFSLabel, l)) {
+			t.Errorf("WaterLevel lacks label %s", l)
+		}
 	}
 }
 
@@ -89,10 +90,10 @@ func TestDistrictsGeography(t *testing.T) {
 		t.Fatalf("Districts = %v", Districts)
 	}
 	for _, d := range Districts {
-		if !o.IsA(d, DistrictClass) {
+		if !o.Graph().Has(rdf.T(d, rdf.RDFType, DistrictClass)) {
 			t.Errorf("%s should be a District", d)
 		}
-		if !o.IsA(d, ssn.FeatureOfInterest) {
+		if !o.Graph().Has(rdf.T(d, rdf.RDFType, ssn.FeatureOfInterest)) {
 			t.Errorf("%s should be a FeatureOfInterest via hierarchy", d)
 		}
 		if !o.Graph().Has(rdf.T(d, LocatedIn, FreeState)) {
@@ -139,14 +140,81 @@ func TestIKIndicatorsIndicateEvents(t *testing.T) {
 	}
 }
 
+// consistencyQueries are SPARQL ASK queries over the materialized
+// library, one per kind of violation the library could contain; each
+// answers true when the graph holds a violation of its kind. The library
+// declares no functional property, so no query checks one.
+var consistencyQueries = []struct{ name, ask string }{
+	{"disjoint-classes", `ASK {
+  ?a owl:disjointWith ?b .
+  ?x a ?a , ?b .
+}`},
+	{"undeclared-class", `ASK {
+  ?x a ?c .
+  OPTIONAL { ?c a ?meta . FILTER(?meta = owl:Class || ?meta = rdfs:Class) }
+  FILTER(!BOUND(?meta) && ?c != owl:Class && ?c != rdfs:Class &&
+         ?c != owl:Ontology && ?c != rdf:Property && ?c != owl:ObjectProperty &&
+         ?c != owl:DatatypeProperty && ?c != owl:Thing && ?c != owl:TransitiveProperty &&
+         ?c != owl:SymmetricProperty && ?c != owl:FunctionalProperty && ?c != rdf:Statement)
+}`},
+	{"literal-in-object-position", `ASK {
+  ?p a owl:ObjectProperty .
+  ?s ?p ?o .
+  FILTER(isLiteral(?o))
+}`},
+}
+
+// violates reports which consistency queries hold on g.
+func violates(t *testing.T, g *rdf.Graph) []string {
+	t.Helper()
+	var out []string
+	for _, q := range consistencyQueries {
+		res, err := sparql.NewEngine(g).Query(q.ask)
+		if err != nil {
+			t.Fatalf("%s: %v", q.name, err)
+		}
+		if res.(bool) {
+			out = append(out, q.name)
+		}
+	}
+	return out
+}
+
 func TestConsistencyOfLibrary(t *testing.T) {
 	o, _, err := BuildMaterialized()
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs := o.CheckConsistency()
-	for _, v := range vs {
-		t.Errorf("library violation: %v", v)
+	for _, v := range violates(t, o.Graph()) {
+		t.Errorf("library violation: %s", v)
+	}
+}
+
+// TestConsistencyQueriesCatchViolations adds one violating triple to a
+// copy of the materialized library and expects exactly its query to
+// fire.
+func TestConsistencyQueriesCatchViolations(t *testing.T) {
+	o, _, err := BuildMaterialized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutants := []struct {
+		name string
+		add  rdf.Triple
+	}{
+		// A unit is a dolce:Abstract, which is disjoint with dolce:Quality.
+		{"disjoint-classes", rdf.T(ssn.UnitMillimetre, rdf.RDFType, dolce.Quality)},
+		{"undeclared-class", rdf.T(Mangaung, rdf.RDFType, NS.IRI("Ghost"))},
+		{"literal-in-object-position", rdf.T(Mangaung, LocatedIn, rdf.NewLiteral("Free State"))},
+	}
+	for _, m := range mutants {
+		t.Run(m.name, func(t *testing.T) {
+			g := o.Graph().Clone()
+			g.MustAdd(m.add)
+			if got := violates(t, g); len(got) != 1 || got[0] != m.name {
+				t.Errorf("violations = %v, want [%s]", got, m.name)
+			}
+		})
 	}
 }
 
@@ -161,7 +229,7 @@ func TestObservedPropertiesHaveUnits(t *testing.T) {
 
 func TestLibrarySerializesAndReparses(t *testing.T) {
 	o := Build()
-	text := rdf.TurtleString(o.Graph(), o.Prefixes())
+	text := rdf.TurtleString(o.Graph(), rdf.DefaultPrefixes())
 	g2, err := rdf.ParseTurtleString(text)
 	if err != nil {
 		t.Fatalf("library turtle does not reparse: %v", err)

@@ -20,7 +20,7 @@ func TestReasonerDeterministicAcrossSerialization(t *testing.T) {
 
 	// Serialize the *asserted* (pre-reasoning) library and rebuild.
 	asserted := Build()
-	text := rdf.TurtleString(asserted.Graph(), asserted.Prefixes())
+	text := rdf.TurtleString(asserted.Graph(), rdf.DefaultPrefixes())
 	reparsed, err := rdf.ParseTurtleString(text)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestClosureIdempotentUnderReserialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := rdf.TurtleString(direct.Graph(), direct.Prefixes())
+	text := rdf.TurtleString(direct.Graph(), rdf.DefaultPrefixes())
 	reparsed, err := rdf.ParseTurtleString(text)
 	if err != nil {
 		t.Fatal(err)

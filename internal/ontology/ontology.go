@@ -1,7 +1,7 @@
 // Package ontology provides the schema layer of the middleware's unified
 // ontology library (Figure 1 of the paper): typed builders for classes and
-// properties over an RDF graph, a forward-chaining RDFS/OWL-subset
-// entailment engine, and consistency checking.
+// properties over an RDF graph and a forward-chaining RDFS/OWL-subset
+// entailment engine.
 //
 // The concrete ontologies — the DOLCE upper level, the SSN-style sensor
 // vocabulary and the drought domain — live in the sub-packages
@@ -21,20 +21,13 @@ import (
 // (individuals); the reasoner materializes entailments into the same
 // graph.
 type Ontology struct {
-	g    *rdf.Graph
-	iri  rdf.IRI
-	pm   *rdf.PrefixMap
-	name string
+	g   *rdf.Graph
+	iri rdf.IRI
 }
 
 // New returns an empty ontology identified by the given IRI.
 func New(iri rdf.IRI, name string) *Ontology {
-	o := &Ontology{
-		g:    rdf.NewGraph(),
-		iri:  iri,
-		pm:   rdf.DefaultPrefixes(),
-		name: name,
-	}
+	o := &Ontology{g: rdf.NewGraph(), iri: iri}
 	o.g.MustAdd(rdf.T(iri, rdf.RDFType, rdf.OWLOntology))
 	if name != "" {
 		o.g.MustAdd(rdf.T(iri, rdf.RDFSLabel, rdf.NewLangLiteral(name, "en")))
@@ -45,20 +38,11 @@ func New(iri rdf.IRI, name string) *Ontology {
 // FromGraph wraps an existing graph as an ontology without adding any
 // header triples.
 func FromGraph(g *rdf.Graph, iri rdf.IRI) *Ontology {
-	return &Ontology{g: g, iri: iri, pm: rdf.DefaultPrefixes()}
+	return &Ontology{g: g, iri: iri}
 }
 
 // Graph exposes the underlying RDF graph.
 func (o *Ontology) Graph() *rdf.Graph { return o.g }
-
-// IRI returns the ontology identifier.
-func (o *Ontology) IRI() rdf.IRI { return o.iri }
-
-// Name returns the human-readable ontology name.
-func (o *Ontology) Name() string { return o.name }
-
-// Prefixes returns the prefix map used when serializing.
-func (o *Ontology) Prefixes() *rdf.PrefixMap { return o.pm }
 
 // Import merges another ontology's triples and records owl:imports.
 func (o *Ontology) Import(other *Ontology) {
@@ -80,9 +64,6 @@ func (o *Ontology) Class(cls rdf.IRI) *ClassBuilder {
 	o.g.MustAdd(rdf.T(cls, rdf.RDFType, rdf.RDFSClass))
 	return &ClassBuilder{o: o, cls: cls}
 }
-
-// IRI returns the class IRI.
-func (b *ClassBuilder) IRI() rdf.IRI { return b.cls }
 
 // Sub asserts rdfs:subClassOf.
 func (b *ClassBuilder) Sub(super rdf.IRI) *ClassBuilder {
@@ -109,12 +90,6 @@ func (b *ClassBuilder) DisjointWith(other rdf.IRI) *ClassBuilder {
 	return b
 }
 
-// EquivalentTo asserts owl:equivalentClass.
-func (b *ClassBuilder) EquivalentTo(other rdf.IRI) *ClassBuilder {
-	b.o.g.MustAdd(rdf.T(b.cls, rdf.OWLEquivalentClass, other))
-	return b
-}
-
 // PropertyBuilder incrementally attaches axioms to a property.
 type PropertyBuilder struct {
 	o    *Ontology
@@ -134,9 +109,6 @@ func (o *Ontology) DatatypeProperty(p rdf.IRI) *PropertyBuilder {
 	o.g.MustAdd(rdf.T(p, rdf.RDFType, rdf.RDFProperty))
 	return &PropertyBuilder{o: o, prop: p}
 }
-
-// IRI returns the property IRI.
-func (b *PropertyBuilder) IRI() rdf.IRI { return b.prop }
 
 // Sub asserts rdfs:subPropertyOf.
 func (b *PropertyBuilder) Sub(super rdf.IRI) *PropertyBuilder {
@@ -174,18 +146,6 @@ func (b *PropertyBuilder) Transitive() *PropertyBuilder {
 	return b
 }
 
-// Symmetric marks the property owl:SymmetricProperty.
-func (b *PropertyBuilder) Symmetric() *PropertyBuilder {
-	b.o.g.MustAdd(rdf.T(b.prop, rdf.RDFType, rdf.OWLSymmetricProperty))
-	return b
-}
-
-// Functional marks the property owl:FunctionalProperty.
-func (b *PropertyBuilder) Functional() *PropertyBuilder {
-	b.o.g.MustAdd(rdf.T(b.prop, rdf.RDFType, rdf.OWLFunctionalProperty))
-	return b
-}
-
 // InverseOf asserts owl:inverseOf.
 func (b *PropertyBuilder) InverseOf(other rdf.IRI) *PropertyBuilder {
 	b.o.g.MustAdd(rdf.T(b.prop, rdf.OWLInverseOf, other))
@@ -197,11 +157,6 @@ func (b *PropertyBuilder) InverseOf(other rdf.IRI) *PropertyBuilder {
 // Individual asserts rdf:type for an individual.
 func (o *Ontology) Individual(ind rdf.IRI, cls rdf.IRI) {
 	o.g.MustAdd(rdf.T(ind, rdf.RDFType, cls))
-}
-
-// Assert adds an arbitrary statement.
-func (o *Ontology) Assert(s, p, obj rdf.Term) error {
-	return o.g.Add(rdf.T(s, p, obj))
 }
 
 // MustAssert adds a statement, panicking on malformed input.
@@ -248,22 +203,17 @@ func (o *Ontology) IsClass(c rdf.IRI) bool {
 // (not including cls itself), computed on demand — it does not require a
 // materialized closure.
 func (o *Ontology) SuperClasses(cls rdf.IRI) []rdf.IRI {
-	return o.closure(cls, rdf.RDFSSubClassOf, false)
+	return o.closure(cls, false)
 }
 
 // SubClasses returns the transitive closure of subclasses of cls.
 func (o *Ontology) SubClasses(cls rdf.IRI) []rdf.IRI {
-	return o.closure(cls, rdf.RDFSSubClassOf, true)
+	return o.closure(cls, true)
 }
 
-// SuperProperties returns the transitive closure of rdfs:subPropertyOf.
-func (o *Ontology) SuperProperties(p rdf.IRI) []rdf.IRI {
-	return o.closure(p, rdf.RDFSSubPropertyOf, false)
-}
-
-// closure walks subClassOf/subPropertyOf edges; inverse=true walks from
-// object to subject (i.e. descendants).
-func (o *Ontology) closure(start rdf.IRI, edge rdf.IRI, inverse bool) []rdf.IRI {
+// closure walks rdfs:subClassOf edges; inverse=true walks from object to
+// subject (i.e. descendants).
+func (o *Ontology) closure(start rdf.IRI, inverse bool) []rdf.IRI {
 	visited := map[rdf.IRI]bool{start: true}
 	frontier := []rdf.IRI{start}
 	var out []rdf.IRI
@@ -272,9 +222,9 @@ func (o *Ontology) closure(start rdf.IRI, edge rdf.IRI, inverse bool) []rdf.IRI 
 		frontier = frontier[1:]
 		var nexts []rdf.Term
 		if inverse {
-			nexts = o.g.Subjects(edge, cur)
+			nexts = o.g.Subjects(rdf.RDFSSubClassOf, cur)
 		} else {
-			nexts = o.g.Objects(cur, edge)
+			nexts = o.g.Objects(cur, rdf.RDFSSubClassOf)
 		}
 		for _, nt := range nexts {
 			n, ok := nt.(rdf.IRI)
@@ -302,84 +252,6 @@ func (o *Ontology) IsSubClassOf(sub, super rdf.IRI) bool {
 		}
 	}
 	return false
-}
-
-// TypesOf returns the asserted types of an individual (direct types only;
-// run the reasoner to materialize inherited types first if needed).
-func (o *Ontology) TypesOf(ind rdf.Term) []rdf.IRI {
-	var out []rdf.IRI
-	for _, t := range o.g.Objects(ind, rdf.RDFType) {
-		if iri, ok := t.(rdf.IRI); ok {
-			out = append(out, iri)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// IsA reports whether individual ind is an instance of cls, considering
-// the subclass hierarchy (but not un-materialized domain/range
-// entailments).
-func (o *Ontology) IsA(ind rdf.Term, cls rdf.IRI) bool {
-	for _, t := range o.TypesOf(ind) {
-		if t == cls || o.IsSubClassOf(t, cls) {
-			return true
-		}
-	}
-	return false
-}
-
-// InstancesOf returns all individuals whose (possibly inherited) type is
-// cls.
-func (o *Ontology) InstancesOf(cls rdf.IRI) []rdf.Term {
-	seen := make(map[string]rdf.Term)
-	classes := append([]rdf.IRI{cls}, o.SubClasses(cls)...)
-	for _, c := range classes {
-		for _, s := range o.g.Subjects(rdf.RDFType, c) {
-			seen[s.Key()] = s
-		}
-	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]rdf.Term, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, seen[k])
-	}
-	return out
-}
-
-// Label returns the preferred label of a term in the given language,
-// falling back to any label, then to the IRI local name.
-func (o *Ontology) Label(term rdf.Term, lang string) string {
-	var anyLabel string
-	var match string
-	o.g.ForEachMatch(term, rdf.RDFSLabel, nil, func(t rdf.Triple) bool {
-		l, ok := t.O.(rdf.Literal)
-		if !ok {
-			return true
-		}
-		if anyLabel == "" {
-			anyLabel = l.Lexical
-		}
-		if l.Lang == lang {
-			match = l.Lexical
-			return false
-		}
-		return true
-	})
-	if match != "" {
-		return match
-	}
-	if anyLabel != "" {
-		return anyLabel
-	}
-	if iri, ok := term.(rdf.IRI); ok {
-		return iri.LocalName()
-	}
-	return term.String()
 }
 
 // Stats summarizes the ontology for reporting (EXP-F1).

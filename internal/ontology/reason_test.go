@@ -109,7 +109,8 @@ func TestOWLInverse(t *testing.T) {
 
 func TestOWLSymmetric(t *testing.T) {
 	o := New(testNS.IRI("o"), "")
-	o.ObjectProperty(testNS.IRI("adjacentTo")).Symmetric()
+	o.ObjectProperty(testNS.IRI("adjacentTo"))
+	o.MustAssert(testNS.IRI("adjacentTo"), rdf.RDFType, rdf.OWLSymmetricProperty)
 	o.MustAssert(testNS.IRI("a"), testNS.IRI("adjacentTo"), testNS.IRI("b"))
 	materialize(t, o)
 	if !o.Graph().Has(rdf.T(testNS.IRI("b"), testNS.IRI("adjacentTo"), testNS.IRI("a"))) {
@@ -132,7 +133,8 @@ func TestOWLTransitive(t *testing.T) {
 func TestOWLEquivalentClass(t *testing.T) {
 	o := New(testNS.IRI("o"), "")
 	a, b := testNS.IRI("Precipitation"), testNS.IRI("Rainfall")
-	o.Class(a).EquivalentTo(b)
+	o.Class(a)
+	o.MustAssert(a, rdf.OWLEquivalentClass, b)
 	o.Class(b)
 	o.Individual(testNS.IRI("x"), a)
 	materialize(t, o)

@@ -1,9 +1,6 @@
 package rdf
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // fuzzSeeds are representative documents from the unit-test fixtures —
 // every syntactic feature the parser supports, so the fuzzer mutates
@@ -45,17 +42,21 @@ string with "quotes" and
 newlines""" .
 `,
 	`@prefix ex: <http://e/> . ex:a ex:p "esc \t \n \" \\ \u00e9" .`,
+	// N-Triples documents are Turtle too.
 	`<http://e/s> <http://e/p> <http://e/o> .`,
+	"<http://e/s> <http://e/p> \"lit\"@en .\n# comment\n\n",
+	"_:b0 <http://e/p> \"3.5\"^^<http://www.w3.org/2001/XMLSchema#double> .\n",
+	"<http://e/s> <http://e/p> \"esc \\t \\\" \\\\ \\u00e9\" .\n",
 	// Near-miss documents: one byte away from valid.
 	`@prefix ex: <http://e/> . ex:a ex:p "oops .`,
 	`@prefix ex: <http://e/> . ex:a ex:p ex:b`,
 	`@prefix ex: <http://e/> . ex:a ex:p [ ex:q ex:b .`,
+	"<http://e/s> <http://e/p> <http://e/o>",
 }
 
 // FuzzParseTurtle checks the full parse → serialize → reparse loop:
 // any input must either fail with an error or round-trip to an
-// identical graph — and must never panic. Serialization is checked both
-// ways (Turtle with prefix abbreviation, and canonical N-Triples).
+// identical graph — and must never panic.
 func FuzzParseTurtle(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add(seed)
@@ -76,45 +77,8 @@ func FuzzParseTurtle(f *testing.F) {
 			t.Fatalf("serialized Turtle does not reparse: %v\noriginal:\n%s\nserialized:\n%s", err, src, ttl)
 		}
 		if !EqualGraphs(g, g2) {
-			t.Fatalf("Turtle round-trip changed the graph\noriginal:\n%s\nserialized:\n%s\nwant:\n%s\ngot:\n%s",
-				src, ttl, NTriplesString(g), NTriplesString(g2))
-		}
-		// And through canonical N-Triples.
-		nt := NTriplesString(g)
-		g3, err := ParseNTriples(strings.NewReader(nt))
-		if err != nil {
-			t.Fatalf("canonical N-Triples does not reparse: %v\n%s", err, nt)
-		}
-		if !EqualGraphs(g, g3) {
-			t.Fatalf("N-Triples round-trip changed the graph\nwant:\n%s\ngot:\n%s", nt, NTriplesString(g3))
-		}
-	})
-}
-
-// FuzzParseNTriples: same contract for the line-oriented subset — error
-// or exact round-trip, never a panic. N-Triples serialization is
-// canonical (sorted), so a second serialization must be byte-identical.
-func FuzzParseNTriples(f *testing.F) {
-	f.Add("<http://e/s> <http://e/p> <http://e/o> .\n")
-	f.Add("<http://e/s> <http://e/p> \"lit\"@en .\n# comment\n\n")
-	f.Add("_:b0 <http://e/p> \"3.5\"^^<http://www.w3.org/2001/XMLSchema#double> .\n")
-	f.Add("<http://e/s> <http://e/p> \"esc \\t \\\" \\\\ \\u00e9\" .\n")
-	f.Add("<http://e/s> <http://e/p> <http://e/o>")
-	f.Fuzz(func(t *testing.T, src string) {
-		g, err := ParseNTriples(strings.NewReader(src))
-		if err != nil {
-			return
-		}
-		nt := NTriplesString(g)
-		g2, err := ParseNTriples(strings.NewReader(nt))
-		if err != nil {
-			t.Fatalf("canonical form does not reparse: %v\n%s", err, nt)
-		}
-		if !EqualGraphs(g, g2) {
-			t.Fatalf("round-trip changed the graph\nwant:\n%s\ngot:\n%s", nt, NTriplesString(g2))
-		}
-		if nt2 := NTriplesString(g2); nt2 != nt {
-			t.Fatalf("canonical serialization not stable:\nfirst:\n%s\nsecond:\n%s", nt, nt2)
+			t.Fatalf("Turtle round-trip changed the graph\noriginal:\n%s\nserialized:\n%s\ngot:\n%s",
+				src, ttl, TurtleString(g2, nil))
 		}
 	})
 }

@@ -1,6 +1,6 @@
 // Package rdf implements the RDF 1.1 data model used throughout the
 // middleware: terms (IRIs, literals, blank nodes), triples, and an indexed
-// in-memory graph with N-Triples and Turtle serializations.
+// in-memory graph with a Turtle serialization.
 //
 // The package is self-contained (stdlib only) and is the foundation for the
 // ontology library (internal/ontology), the SPARQL-subset query engine
