@@ -42,16 +42,11 @@ string with "quotes" and
 newlines""" .
 `,
 	`@prefix ex: <http://e/> . ex:a ex:p "esc \t \n \" \\ \u00e9" .`,
-	// N-Triples documents are Turtle too.
 	`<http://e/s> <http://e/p> <http://e/o> .`,
-	"<http://e/s> <http://e/p> \"lit\"@en .\n# comment\n\n",
-	"_:b0 <http://e/p> \"3.5\"^^<http://www.w3.org/2001/XMLSchema#double> .\n",
-	"<http://e/s> <http://e/p> \"esc \\t \\\" \\\\ \\u00e9\" .\n",
 	// Near-miss documents: one byte away from valid.
 	`@prefix ex: <http://e/> . ex:a ex:p "oops .`,
 	`@prefix ex: <http://e/> . ex:a ex:p ex:b`,
 	`@prefix ex: <http://e/> . ex:a ex:p [ ex:q ex:b .`,
-	"<http://e/s> <http://e/p> <http://e/o>",
 }
 
 // FuzzParseTurtle checks the full parse → serialize → reparse loop:
@@ -79,6 +74,35 @@ func FuzzParseTurtle(f *testing.F) {
 		if !EqualGraphs(g, g2) {
 			t.Fatalf("Turtle round-trip changed the graph\noriginal:\n%s\nserialized:\n%s\ngot:\n%s",
 				src, ttl, TurtleString(g2, nil))
+		}
+	})
+}
+
+// FuzzParseNTriples: same contract for the line-oriented N-Triples
+// subset, which the Turtle parser reads — error or exact round-trip,
+// never a panic. Serialization is deterministic, so a second
+// serialization of the reparsed graph must be byte-identical.
+func FuzzParseNTriples(f *testing.F) {
+	f.Add("<http://e/s> <http://e/p> <http://e/o> .\n")
+	f.Add("<http://e/s> <http://e/p> \"lit\"@en .\n# comment\n\n")
+	f.Add("_:b0 <http://e/p> \"3.5\"^^<http://www.w3.org/2001/XMLSchema#double> .\n")
+	f.Add("<http://e/s> <http://e/p> \"esc \\t \\\" \\\\ \\u00e9\" .\n")
+	f.Add("<http://e/s> <http://e/p> <http://e/o>")
+	f.Fuzz(func(t *testing.T, src string) {
+		g, err := ParseTurtleString(src)
+		if err != nil {
+			return
+		}
+		ttl := TurtleString(g, nil)
+		g2, err := ParseTurtleString(ttl)
+		if err != nil {
+			t.Fatalf("serialized form does not reparse: %v\n%s", err, ttl)
+		}
+		if !EqualGraphs(g, g2) {
+			t.Fatalf("round-trip changed the graph\nwant:\n%s\ngot:\n%s", ttl, TurtleString(g2, nil))
+		}
+		if ttl2 := TurtleString(g2, nil); ttl2 != ttl {
+			t.Fatalf("serialization not stable:\nfirst:\n%s\nsecond:\n%s", ttl, ttl2)
 		}
 	})
 }

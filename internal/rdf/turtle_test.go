@@ -224,8 +224,6 @@ func TestParseTurtleErrors(t *testing.T) {
 		{"unterminated string", `@prefix ex: <http://e/> . ex:a ex:p "oops .`},
 		{"missing dot", `@prefix ex: <http://e/> . ex:a ex:p ex:b`},
 		{"literal subject", `@prefix ex: <http://e/> . "lit" ex:p ex:b .`},
-		{"missing object", `<http://e/a> <http://e/p> .`},
-		{"literal predicate", `<http://e/a> "lit" <http://e/b> .`},
 		{"bare word", `@prefix ex: <http://e/> . ex:a ex:p banana .`},
 		{"lone caret", `@prefix ex: <http://e/> . ex:a ex:p "x"^ .`},
 		{"bad escape", `@prefix ex: <http://e/> . ex:a ex:p "\z" .`},
@@ -262,6 +260,23 @@ dews:severity rdfs:domain dews:Drought .
 	}
 }
 
+// TestParseNTriplesErrors feeds malformed N-Triples lines to the Turtle
+// parser, which reads the N-Triples subset.
+func TestParseNTriplesErrors(t *testing.T) {
+	cases := []string{
+		`<http://e/a> <http://e/p> .`,            // missing object
+		`<http://e/a> "lit" <http://e/b> .`,      // literal predicate
+		`"lit" <http://e/p> <http://e/b> .`,      // literal subject
+		`<http://e/a> <http://e/p> <http://e/b>`, // missing dot
+	}
+	for _, src := range cases {
+		if _, err := ParseTurtleString(src); err == nil {
+			t.Errorf("expected error for %q", src)
+		}
+	}
+}
+
+// randomGraph builds a pseudo-random graph with a mixture of term types.
 func randomGraph(rng *rand.Rand, n int) *Graph {
 	g := NewGraph()
 	ns := Namespace("http://example.org/ns#")
