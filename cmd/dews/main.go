@@ -12,7 +12,7 @@
 //	dews [-seed N] [-years N] [-train N] [-lead N] [-districts a,b,c]
 //	     [-nodes N] [-fetch-parallel N] [-serve :8080]
 //	     [-log-dir DIR] [-log-segment-bytes N] [-log-retain 720h]
-//	     [-graph-dir DIR] [-graph-checkpoint 15s]
+//	     [-graph-dir DIR]
 //	     [-pprof] [-pprof-mutex N] [-pprof-block N]
 //
 // With -log-dir the broker writes every published message through a
@@ -22,9 +22,8 @@
 //
 // With -graph-dir (which requires -log-dir) the semantic-web bulletin
 // graph is durable too: every bulletin's triples are committed through a
-// graph write-ahead log and periodically checkpointed into binary
-// snapshot files, so a restart reopens the full RDF graph (snapshot load
-// + WAL tail replay), then repairs it against the event log, instead of
+// graph write-ahead log, so a restart reopens the full RDF graph by
+// replaying that log, then repairs it against the event log, instead of
 // starting empty.
 package main
 
@@ -65,7 +64,6 @@ func run(args []string) error {
 		logSeg     = fs.Int64("log-segment-bytes", 0, "event log segment rotation size in bytes (0 = default 8MiB)")
 		logRetain  = fs.Duration("log-retain", 0, "drop sealed log segments older than this (0 = keep forever)")
 		graphDir   = fs.String("graph-dir", "", "durable semantic-web graph directory, requires -log-dir (empty = in-memory graph only)")
-		graphCkpt  = fs.Duration("graph-checkpoint", 0, "graph snapshot/WAL-truncation cadence (0 = default 15s, negative = disable)")
 		serve      = fs.String("serve", "", "serve the subscription gateway and semantic-web channel on this address after the run")
 		pprofOn    = fs.Bool("pprof", false, "with -serve, also mount net/http/pprof profiling under /debug/pprof/")
 		mutexFrac  = fs.Int("pprof-mutex", 0, "sample 1/N of mutex contention events for /debug/pprof/mutex (0 = off)")
@@ -98,9 +96,7 @@ func run(args []string) error {
 		LogDir:           *logDir,
 		LogSegmentBytes:  *logSeg,
 		LogRetain:        *logRetain,
-
-		GraphDir:                *graphDir,
-		GraphCheckpointInterval: *graphCkpt,
+		GraphDir:         *graphDir,
 	}
 	if *districts != "" {
 		cfg.Districts = strings.Split(*districts, ",")
@@ -130,8 +126,8 @@ func run(args []string) error {
 	}
 	if *graphDir != "" {
 		gs := system.GraphStore().Stats()
-		fmt.Printf("graph store: %s (recovered %d triples: snapshot %d + %d replayed)\n",
-			*graphDir, gs.Triples, gs.Triples-gs.ReplayedTriples, gs.ReplayedTriples)
+		fmt.Printf("graph store: %s (recovered %d triples, %d WAL records replayed)\n",
+			*graphDir, gs.Triples, gs.ReplayedRecords)
 	}
 	result, err := system.Run()
 	if err != nil {

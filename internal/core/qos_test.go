@@ -116,6 +116,44 @@ func TestAckSubscriptionRetainedReplay(t *testing.T) {
 	}
 }
 
+// TestAckSubscriptionRetainedDuplicateGuard drives offerRetained's three
+// early exits: the subscribe/publish race can hand one message to both
+// the live and the retained path, and the at-least-once tier must not
+// deliver it twice, whether its first copy is still queued or already
+// in flight; a full mailbox drops the retained copy and counts it.
+func TestAckSubscriptionRetainedDuplicateGuard(t *testing.T) {
+	live := Message{Offset: 7, Topic: "bulletin/mangaung", Payload: "live"}
+	cases := []struct {
+		name     string
+		capacity int
+		fetch    bool // move the live copy in flight before the retained offer
+		retained Message
+		dropped  int
+	}{
+		{name: "already_queued", capacity: 4, retained: live},
+		{name: "in_flight", capacity: 4, fetch: true, retained: live},
+		{name: "full", capacity: 1, retained: Message{Offset: 8, Topic: "bulletin/xhariep"}, dropped: 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sub := &AckSubscription{capacity: c.capacity}
+			sub.offer(live)
+			var got []Delivery
+			if c.fetch {
+				got = sub.Fetch(0)
+			}
+			sub.offerRetained(c.retained)
+			got = append(got, sub.Fetch(0)...)
+			if len(got) != 1 || got[0].Message.Offset != live.Offset {
+				t.Fatalf("deliveries = %+v, want only offset %d once", got, live.Offset)
+			}
+			if d := sub.Dropped(); d != c.dropped {
+				t.Fatalf("dropped = %d, want %d", d, c.dropped)
+			}
+		})
+	}
+}
+
 func TestUnsubscribeAck(t *testing.T) {
 	b := NewBroker()
 	sub, _ := b.SubscribeAck("x/#", 10)

@@ -334,7 +334,6 @@ func TestPersistentSemanticWeb(t *testing.T) {
 	cfg.TrainYears = 2
 	cfg.LogDir = t.TempDir()
 	cfg.GraphDir = t.TempDir()
-	cfg.GraphCheckpointInterval = -1 // recovery must work from WAL alone
 
 	sys, err := NewSystem(cfg)
 	if err != nil {
@@ -422,7 +421,7 @@ func appendBulletins(t *testing.T, dir string, bs ...forecast.Bulletin) uint64 {
 // into the graph store in dir, bypassing the event log.
 func plantBulletins(t *testing.T, dir string, first uint64, bs ...forecast.Bulletin) {
 	t.Helper()
-	store, err := graphlog.Open(graphlog.Config{Dir: dir, CheckpointInterval: -1})
+	store, err := graphlog.Open(graphlog.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

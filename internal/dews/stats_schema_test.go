@@ -22,8 +22,7 @@ type kind int
 
 const (
 	kNum kind = iota
-	kBool
-	kObj // object with unchecked contents (free-form maps)
+	kObj      // object with unchecked contents (free-form maps)
 )
 
 // node is either a leaf (checked kind) or an interior object with an
@@ -100,25 +99,18 @@ var statsSchema = obj(map[string]node{
 			"orphans_swept":    leaf(kNum),
 			"dropped":          leaf(kNum),
 			"store": obj(map[string]node{
-				"triples":                  leaf(kNum),
-				"dict_terms":               leaf(kNum),
-				"base_run":                 leaf(kNum),
-				"mid_run":                  leaf(kNum),
-				"delta_run":                leaf(kNum),
-				"snapshot_offset":          leaf(kNum),
-				"wal_tail_records":         leaf(kNum),
-				"wal_tail_triples":         leaf(kNum),
-				"wal_segments":             leaf(kNum),
-				"wal_bytes":                leaf(kNum),
-				"appended":                 leaf(kNum),
-				"checkpoints":              leaf(kNum),
-				"checkpoint_failures":      leaf(kNum),
-				"last_checkpoint_age_secs": leaf(kNum),
-				"last_checkpoint_micros":   leaf(kNum),
-				"snapshot_loaded":          leaf(kBool),
-				"replayed_records":         leaf(kNum),
-				"replayed_triples":         leaf(kNum),
-				"snapshots_skipped":        leaf(kNum),
+				"triples":          leaf(kNum),
+				"dict_terms":       leaf(kNum),
+				"base_run":         leaf(kNum),
+				"mid_run":          leaf(kNum),
+				"delta_run":        leaf(kNum),
+				"wal_tail_records": leaf(kNum),
+				"wal_tail_triples": leaf(kNum),
+				"wal_segments":     leaf(kNum),
+				"wal_bytes":        leaf(kNum),
+				"appended":         leaf(kNum),
+				"replayed_records": leaf(kNum),
+				"replayed_triples": leaf(kNum),
 			}),
 		}),
 	}),
@@ -131,10 +123,6 @@ func checkNode(path string, schema node, value any, report func(string)) {
 		case kNum:
 			if _, ok := value.(float64); !ok {
 				report(fmt.Sprintf("%s: want number, got %T", path, value))
-			}
-		case kBool:
-			if _, ok := value.(bool); !ok {
-				report(fmt.Sprintf("%s: want bool, got %T", path, value))
 			}
 		case kObj:
 			if _, ok := value.(map[string]any); !ok {

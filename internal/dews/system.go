@@ -96,16 +96,11 @@ type Config struct {
 	LogRetain time.Duration
 	// GraphDir, when set, makes the semantic-web bulletin graph durable:
 	// every bulletin's triples are committed through a graph write-ahead
-	// log in this directory, periodically checkpointed into binary
-	// snapshot files, and the graph is recovered (snapshot + WAL tail)
-	// and then repaired against the event log on startup. It requires
-	// LogDir: bulletin IRIs are keyed by log offset, and without a log
-	// offsets restart at 1 in every process.
+	// log in this directory, and on startup the graph is recovered by
+	// replaying that log and then repaired against the event log. It
+	// requires LogDir: bulletin IRIs are keyed by log offset, and without
+	// a log offsets restart at 1 in every process.
 	GraphDir string
-	// GraphCheckpointInterval is how often the graph store considers
-	// writing a snapshot and truncating its WAL (0 = graphlog default,
-	// 15s; negative disables background checkpointing).
-	GraphCheckpointInterval time.Duration
 }
 
 func (c *Config) applyDefaults() {
@@ -339,15 +334,12 @@ func NewSystem(cfg Config) (sys *System, err error) {
 	var store *graphlog.Store
 	web := dissemination.NewSemanticWeb()
 	if cfg.GraphDir != "" {
-		store, err = graphlog.Open(graphlog.Config{
-			Dir:                cfg.GraphDir,
-			CheckpointInterval: cfg.GraphCheckpointInterval,
-		})
+		store, err = graphlog.Open(graphlog.Config{Dir: cfg.GraphDir})
 		if err != nil {
 			return nil, err
 		}
 		// Like the event log: a later constructor failure must release the
-		// store, or its checkpoint goroutine outlives the failed build.
+		// store, or its WAL stays open after the failed build.
 		defer func() {
 			if err != nil {
 				err = errors.Join(err, store.Close())

@@ -787,9 +787,9 @@ func (l *Log) compactLoop() {
 }
 
 // Rotate seals the active segment and starts a fresh one, regardless of
-// size. Checkpointing callers (the graph WAL) rotate before truncating
-// so every record written so far lives in a sealed segment and is
-// therefore droppable by TruncateBefore. Rotating an empty active
+// size. A caller rotates before truncating so every record written so
+// far lives in a sealed segment and is therefore droppable by
+// TruncateBefore. Rotating an empty active
 // segment is a no-op.
 func (l *Log) Rotate() error {
 	l.mu.Lock()
@@ -809,12 +809,11 @@ func (l *Log) Rotate() error {
 }
 
 // TruncateBefore drops sealed segments every record of which precedes
-// offset, returning how many were removed. It is the checkpoint
-// truncation primitive: unlike Compact it is offset-directed, not
-// policy-directed, but shares its safety properties — only sealed
-// segments are candidates, the active segment always survives, removal
-// runs outside the lock, and a removal failure stops the sweep so the
-// remaining segment set stays offset-contiguous.
+// offset, returning how many were removed. Unlike Compact it is
+// offset-directed, not policy-directed, but shares its safety
+// properties — only sealed segments are candidates, the active segment
+// always survives, removal runs outside the lock, and a removal failure
+// stops the sweep so the remaining segment set stays offset-contiguous.
 func (l *Log) TruncateBefore(offset uint64) (int, error) {
 	l.compactMu.Lock()
 	defer l.compactMu.Unlock()

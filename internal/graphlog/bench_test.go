@@ -1,8 +1,6 @@
 package graphlog
 
 import (
-	"os"
-	"strconv"
 	"testing"
 	"time"
 
@@ -10,118 +8,12 @@ import (
 	"repro/internal/rdf"
 )
 
-// benchTriples generates the standard reopen corpus: 1M subjects per
-// 10M triples, 10 predicates, 100k distinct objects — a bulletin-like
-// shape where terms are heavily shared but the triple set is distinct.
-func benchTriples(n int) []rdf.Triple {
-	ts := make([]rdf.Triple, n)
-	for i := 0; i < n; i++ {
-		ts[i] = rdf.T(
-			rdf.IRI("http://dews.example/s/"+strconv.Itoa(i/10)),
-			rdf.IRI("http://dews.example/p/"+strconv.Itoa(i%10)),
-			rdf.IRI("http://dews.example/o/"+strconv.Itoa(i%100000)),
-		)
-	}
-	return ts
-}
-
-const benchBatch = 1 << 16
-
-// buildStoreDir ingests n triples and checkpoints, leaving a
-// snapshot-only store directory — the reopen benchmark's input.
-func buildStoreDir(b *testing.B, dir string, ts []rdf.Triple) {
-	b.Helper()
-	st, err := Open(Config{Dir: dir, CheckpointInterval: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for at := 0; at < len(ts); at += benchBatch {
-		end := at + benchBatch
-		if end > len(ts) {
-			end = len(ts)
-		}
-		if err := st.AddAll(ts[at:end]...); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := st.Checkpoint(); err != nil {
-		b.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// benchReopen measures Open (snapshot load + empty-tail replay) against
-// a checkpointed store of n triples.
-func benchReopen(b *testing.B, n int) {
-	dir := b.TempDir()
-	buildStoreDir(b, dir, benchTriples(n))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st, err := Open(Config{Dir: dir, CheckpointInterval: -1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if st.Graph().Len() != n {
-			b.Fatalf("reopened %d triples, want %d", st.Graph().Len(), n)
-		}
-		if err := st.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGraphReopen1M(b *testing.B) { benchReopen(b, 1_000_000) }
-
-// BenchmarkGraphReopen10M is the acceptance benchmark for the issue's
-// ≥20x-faster-than-reingest gate. It needs ~2GB and minutes of setup,
-// so it only runs when asked for explicitly; its number is recorded in
-// the committed baseline.
-func BenchmarkGraphReopen10M(b *testing.B) {
-	if os.Getenv("DEWS_BENCH_LARGE") == "" {
-		b.Skip("set DEWS_BENCH_LARGE=1 to run the 10M-triple benchmarks")
-	}
-	benchReopen(b, 10_000_000)
-}
-
-// benchReingest is the reopen comparison point: rebuilding the same
-// graph by re-adding every triple to a fresh in-memory rdf.Graph.
-func benchReingest(b *testing.B, n int) {
-	ts := benchTriples(n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := rdf.NewGraph()
-		for at := 0; at < len(ts); at += benchBatch {
-			end := at + benchBatch
-			if end > len(ts) {
-				end = len(ts)
-			}
-			if err := g.AddAll(ts[at:end]...); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if g.Len() != n {
-			b.Fatalf("ingested %d triples, want %d", g.Len(), n)
-		}
-	}
-}
-
-func BenchmarkGraphReingest1M(b *testing.B) { benchReingest(b, 1_000_000) }
-
-func BenchmarkGraphReingest10M(b *testing.B) {
-	if os.Getenv("DEWS_BENCH_LARGE") == "" {
-		b.Skip("set DEWS_BENCH_LARGE=1 to run the 10M-triple benchmarks")
-	}
-	benchReingest(b, 10_000_000)
-}
-
 // BenchmarkGraphWALAppend measures the WAL layer of a commit — payload
 // encode plus eventlog append of a bulletin-sized (6-triple) batch
 // record — the per-commit durability overhead the store adds on top of
 // the in-memory graph mutation.
 func BenchmarkGraphWALAppend(b *testing.B) {
-	st, err := Open(Config{Dir: b.TempDir(), CheckpointInterval: -1})
+	st, err := Open(Config{Dir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -145,7 +37,7 @@ func BenchmarkGraphWALAppend(b *testing.B) {
 // BenchmarkStoreAddBulletin is the end-to-end durable write: intern +
 // WAL + in-memory apply of one six-triple bulletin.
 func BenchmarkStoreAddBulletin(b *testing.B) {
-	st, err := Open(Config{Dir: b.TempDir(), CheckpointInterval: -1})
+	st, err := Open(Config{Dir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}

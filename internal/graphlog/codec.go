@@ -7,8 +7,7 @@ import (
 	"repro/internal/rdf"
 )
 
-// Binary codecs shared by the WAL record payloads and the snapshot
-// files. Everything is little-endian; variable-length fields are uvarint
+// The binary codec of the WAL record payloads. Everything is little-endian; variable-length fields are uvarint
 // length-prefixed. Decoders never trust a length field further than the
 // bytes that actually remain, so corrupt (or fuzzed) input fails with a
 // clean error instead of a panic or an absurd allocation.

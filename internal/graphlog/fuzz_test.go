@@ -1,10 +1,6 @@
 package graphlog
 
 import (
-	"bufio"
-	"bytes"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -43,48 +39,6 @@ func FuzzDecodeGraphWAL(f *testing.F) {
 		}
 		if !reflect.DeepEqual(b, b2) {
 			t.Fatalf("round trip changed the batch:\n%+v\n%+v", b, b2)
-		}
-	})
-}
-
-// FuzzDecodeGraphSnapshot asserts the snapshot reader is total over
-// arbitrary file contents, and that anything it accepts survives a
-// write/read round trip as an equal graph.
-func FuzzDecodeGraphSnapshot(f *testing.F) {
-	g := rdf.NewGraph()
-	for i := 0; i < 5; i++ {
-		if err := g.AddAll(bulletin(i)...); err != nil {
-			f.Fatal(err)
-		}
-	}
-	seedPath := filepath.Join(f.TempDir(), "seed"+snapSuffix)
-	if err := WriteSnapshotFile(seedPath, g.Snapshot(), 9, g.BlankNodeSeq()); err != nil {
-		f.Fatal(err)
-	}
-	raw, err := os.ReadFile(seedPath)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(raw)
-	f.Add(raw[:len(raw)/2])
-	f.Add([]byte(snapMagic))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, _, err := readSnapshot(bufio.NewReader(bytes.NewReader(data)), int64(len(data)), "fuzz")
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		w := bufio.NewWriter(&buf)
-		if err := writeSnapshot(w, g.Snapshot(), 1, g.BlankNodeSeq()); err != nil {
-			t.Fatalf("rewriting accepted snapshot: %v", err)
-		}
-		w.Flush()
-		g2, _, err := readSnapshot(bufio.NewReader(&buf), int64(buf.Len()), "fuzz2")
-		if err != nil {
-			t.Fatalf("re-reading rewritten snapshot: %v", err)
-		}
-		if !rdf.EqualGraphs(g, g2) {
-			t.Fatal("snapshot round trip changed the graph")
 		}
 	})
 }

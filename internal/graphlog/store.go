@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -25,14 +22,6 @@ const (
 	// this many triples, which every runtime writer (a bulletin is six
 	// triples) does by orders of magnitude.
 	walBatchTriples = 8192
-	// checkpointFraction triggers a checkpoint once the WAL tail holds
-	// more than this fraction of the graph's triples.
-	checkpointFraction = 0.25
-	// checkpointMinTail is an absolute floor: no checkpoint happens while
-	// the tail holds fewer triples than this, however small the graph.
-	checkpointMinTail = 10000
-
-	snapSuffix = ".gsnap"
 )
 
 // ErrClosed is returned by mutations on a closed store.
@@ -40,23 +29,18 @@ var ErrClosed = errors.New("graphlog: store is closed")
 
 // Config configures a Store.
 type Config struct {
-	// Dir is the store directory (required; created if missing).
-	// Snapshots live at Dir/*.gsnap, the WAL under Dir/wal/.
+	// Dir is the store directory (required; created if missing). The
+	// WAL lives under Dir/wal/.
 	Dir string
 	// SegmentBytes and FsyncInterval tune the WAL's eventlog (defaults:
 	// 8MiB segments, 25ms batched fsync).
 	SegmentBytes  int64
 	FsyncInterval time.Duration
-	// CheckpointInterval is how often the background checkpointer polls
-	// the tail-size trigger (default 15s; negative disables background
-	// checkpointing — Checkpoint can still be called manually).
+	// CheckpointInterval is ignored: the store writes no snapshots.
+	//
+	// Deprecated: only bench/restart.go still sets it; the field goes
+	// with the bench/ change that stops setting it.
 	CheckpointInterval time.Duration
-}
-
-func (c *Config) applyDefaults() {
-	if c.CheckpointInterval == 0 {
-		c.CheckpointInterval = 15 * time.Second
-	}
 }
 
 // Stats is a point-in-time summary of the persistent store, surfaced by
@@ -65,36 +49,25 @@ type Stats struct {
 	Triples   int `json:"triples"`
 	DictTerms int `json:"dict_terms"`
 	// BaseRun/MidRun/DeltaRun are the per-level SPO run lengths of the
-	// in-memory graph (base is what a snapshot would serialize).
+	// in-memory graph.
 	BaseRun  int `json:"base_run"`
 	MidRun   int `json:"mid_run"`
 	DeltaRun int `json:"delta_run"`
-	// SnapshotOffset is the WAL offset covered by the newest snapshot;
-	// WALTailRecords/Triples measure the replay debt beyond it.
-	SnapshotOffset uint64 `json:"snapshot_offset"`
+	// WALTailRecords/Triples measure the replay debt of the next open:
+	// Open replays the whole WAL.
 	WALTailRecords uint64 `json:"wal_tail_records"`
 	WALTailTriples uint64 `json:"wal_tail_triples"`
 	WALSegments    int    `json:"wal_segments"`
 	WALBytes       int64  `json:"wal_bytes"`
 	// Appended counts WAL records written by this process.
 	Appended uint64 `json:"appended"`
-	// Checkpoint accounting. LastCheckpointAgeSecs is -1 before the
-	// first checkpoint of this process.
-	Checkpoints           uint64  `json:"checkpoints"`
-	CheckpointFailures    uint64  `json:"checkpoint_failures"`
-	LastCheckpointAgeSecs float64 `json:"last_checkpoint_age_secs"`
-	LastCheckpointMicros  int64   `json:"last_checkpoint_micros"`
-	// Recovery accounting from Open: whether a snapshot was loaded and
-	// how much WAL tail was replayed on top of it.
-	SnapshotLoaded   bool `json:"snapshot_loaded"`
-	ReplayedRecords  int  `json:"replayed_records"`
-	ReplayedTriples  int  `json:"replayed_triples"`
-	SnapshotsSkipped int  `json:"snapshots_skipped"`
+	// ReplayedRecords/Triples is what Open replayed.
+	ReplayedRecords int `json:"replayed_records"`
+	ReplayedTriples int `json:"replayed_triples"`
 }
 
 // Store is a persistent rdf.Graph: a write-ahead log of committed
-// mutation batches plus periodic binary snapshots, so reopening costs
-// O(snapshot + WAL tail) instead of re-ingesting every triple.
+// mutation batches, replayed in full by Open.
 //
 // All mutations must go through the store (AddAll, Add, Remove); reads
 // go through Graph(), which is safe for concurrent readers. The store
@@ -109,45 +82,26 @@ type Stats struct {
 // replays the rest, leaving the graph exactly as if the lost commits
 // had never happened.
 type Store struct {
-	cfg Config
-
 	mu         sync.Mutex
 	g          *rdf.Graph
 	wal        *eventlog.Log
-	lastTermID rdf.ID // highest term ID already captured by a WAL record or snapshot
+	lastTermID rdf.ID // highest term ID already captured by a WAL record
 	encBuf     []byte
 	closed     bool
 
 	// Stats state, guarded by mu.
-	snapOffset       uint64
-	tailTriples      uint64
-	appended         uint64
-	checkpoints      uint64
-	checkpointFails  uint64
-	lastCheckpoint   time.Time
-	lastCheckpointD  time.Duration
-	snapshotLoaded   bool
-	replayedRecords  int
-	replayedTriples  int
-	snapshotsSkipped int
-
-	// cpMu serializes checkpoints (manual and background).
-	cpMu sync.Mutex
-
-	stop chan struct{}
-	wg   sync.WaitGroup
+	tailTriples     uint64
+	appended        uint64
+	replayedRecords int
+	replayedTriples int
 }
 
-// Open opens (or creates) the store at cfg.Dir: it opens the WAL, loads
-// the newest readable snapshot, replays the WAL tail beyond it, and
-// starts the background checkpointer. A snapshot that fails validation
-// is skipped in favor of an older one (or a full WAL replay) — losing a
-// checkpoint costs reopen time, never data.
+// Open opens (or creates) the store at cfg.Dir: it opens the WAL and
+// replays it from its first record.
 func Open(cfg Config) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("graphlog: Config.Dir is required")
 	}
-	cfg.applyDefaults()
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("graphlog: %w", err)
 	}
@@ -159,62 +113,26 @@ func Open(cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("graphlog: opening WAL: %w", err)
 	}
-	st := &Store{cfg: cfg, wal: wal, stop: make(chan struct{})}
+	st := &Store{wal: wal, g: rdf.NewGraph()}
 	if err := st.recover(); err != nil {
 		// Recovery already failed; fold in any close error so the caller
 		// sees the full teardown story instead of a silently leaked WAL.
 		return nil, errors.Join(err, wal.Close())
 	}
 	st.lastTermID = st.g.DictLen()
-	if cfg.CheckpointInterval > 0 {
-		st.wg.Add(1)
-		go st.checkpointLoop()
-	}
 	return st, nil
 }
 
-// recover builds the in-memory graph: newest valid snapshot, then WAL
-// tail replay.
+// recover replays the whole WAL onto the empty graph.
 func (st *Store) recover() error {
-	snaps, err := st.snapshotPaths()
-	if err != nil {
-		return err
+	// A log that no longer starts at offset 1 was truncated behind a
+	// snapshot by an older build of this store. Refuse to open rather
+	// than serve the tail as if it were the whole graph; deleting the
+	// directory lets the owner rebuild the graph from its source.
+	if oldest := st.wal.OldestOffset(); oldest > 1 {
+		return fmt.Errorf("graphlog: WAL starts at offset %d, not 1: truncated behind a snapshot this store no longer reads", oldest)
 	}
-	from := uint64(1)
-	// Newest first; fall back on validation failure.
-	var loadErr error
-	for i := len(snaps) - 1; i >= 0; i-- {
-		g, info, err := ReadSnapshotFile(snaps[i])
-		if err != nil {
-			st.snapshotsSkipped++
-			if loadErr == nil {
-				loadErr = err
-			}
-			continue
-		}
-		st.g, st.snapshotLoaded = g, true
-		st.snapOffset = info.WALOffset
-		from = info.WALOffset
-		break
-	}
-	if st.g == nil {
-		st.g = rdf.NewGraph()
-	}
-	// Replay must start at or after the WAL's first surviving record;
-	// starting before it means records were truncated on the promise of a
-	// snapshot that is now unreadable (or missing). Refuse to open rather
-	// than silently serve a partial graph.
-	if oldest := st.wal.OldestOffset(); from < oldest {
-		if loadErr != nil {
-			return fmt.Errorf("graphlog: replay needs WAL offset %d but log starts at %d (newest snapshot unreadable: %v)",
-				from, oldest, loadErr)
-		}
-		return fmt.Errorf("graphlog: snapshot covers WAL up to %d but log starts at %d", from, oldest)
-	}
-	if next := st.wal.NextOffset(); from > next {
-		return fmt.Errorf("graphlog: snapshot claims WAL offset %d beyond log end %d", from, next)
-	}
-	_, err = st.wal.Scan(from, func(rec eventlog.Record) error {
+	_, err := st.wal.Scan(1, func(rec eventlog.Record) error {
 		b, err := decodeWALBatch(rec.Payload)
 		if err != nil {
 			return fmt.Errorf("WAL record %d: %w", rec.Offset, err)
@@ -360,121 +278,6 @@ func (st *Store) commitLocked(add, del []rdf.IDTriple) error {
 // to "this commit is on stable storage now".
 func (st *Store) Sync() error { return st.wal.Sync() }
 
-// Checkpoint writes a snapshot of the current graph and truncates the
-// WAL segments it makes redundant. Safe to call concurrently with
-// writes; concurrent checkpoints serialize.
-func (st *Store) Checkpoint() error {
-	st.cpMu.Lock()
-	defer st.cpMu.Unlock()
-
-	st.mu.Lock()
-	if st.closed {
-		st.mu.Unlock()
-		return ErrClosed
-	}
-	snap := st.g.Snapshot()
-	nextOff := st.wal.NextOffset()
-	bseq := st.g.BlankNodeSeq()
-	covered := st.tailTriples
-	prevOff := st.snapOffset
-	st.mu.Unlock()
-	if nextOff == prevOff {
-		return nil // nothing new since the last snapshot
-	}
-
-	start := time.Now()
-	path := filepath.Join(st.cfg.Dir, fmt.Sprintf("%020d%s", nextOff, snapSuffix))
-	// The slow file work below runs under cpMu alone, which serializes
-	// checkpoints only; the write path takes st.mu and never cpMu, so
-	// commits flow freely while the snapshot streams out.
-	//dewsvet:lockhold-ok cpMu serializes checkpoints only; the write path never takes it
-	err := WriteSnapshotFile(path, snap, nextOff, bseq)
-	if err == nil {
-		err = st.dropSnapshotsBelow(nextOff) //dewsvet:lockhold-ok cpMu serializes checkpoints only; writers never take it
-	}
-	if err == nil {
-		// Seal the active segment so TruncateBefore can drop everything
-		// the snapshot covers; records appended meanwhile live in later
-		// segments and survive.
-		//dewsvet:lockhold-ok cpMu serializes checkpoints only; writers never take it
-		if err = st.wal.Rotate(); err == nil {
-			_, err = st.wal.TruncateBefore(nextOff) //dewsvet:lockhold-ok cpMu serializes checkpoints only; writers never take it
-		}
-	}
-
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if err != nil {
-		st.checkpointFails++
-		return fmt.Errorf("graphlog: checkpoint: %w", err)
-	}
-	st.snapOffset = nextOff
-	st.tailTriples -= covered
-	st.checkpoints++
-	st.lastCheckpoint = time.Now()
-	st.lastCheckpointD = time.Since(start)
-	return nil
-}
-
-// dropSnapshotsBelow removes snapshot files older than the one covering
-// keep. Removal failures are ignored: a stale snapshot wastes disk but
-// is skipped at recovery in favor of the newer one.
-func (st *Store) dropSnapshotsBelow(keep uint64) error {
-	snaps, err := st.snapshotPaths()
-	if err != nil {
-		return err
-	}
-	for _, p := range snaps {
-		base := strings.TrimSuffix(filepath.Base(p), snapSuffix)
-		if off, err := strconv.ParseUint(base, 10, 64); err == nil && off < keep {
-			os.Remove(p)
-		}
-	}
-	return nil
-}
-
-// snapshotPaths returns the snapshot files sorted oldest to newest (the
-// filename is the zero-padded covered WAL offset).
-func (st *Store) snapshotPaths() ([]string, error) {
-	paths, err := filepath.Glob(filepath.Join(st.cfg.Dir, "*"+snapSuffix))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(paths)
-	return paths, nil
-}
-
-// checkpointLoop polls the tail-size trigger.
-func (st *Store) checkpointLoop() {
-	defer st.wg.Done()
-	tick := time.NewTicker(st.cfg.CheckpointInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-st.stop:
-			return
-		case <-tick.C:
-			if st.shouldCheckpoint() {
-				st.Checkpoint() // failure is counted in stats and retried next tick
-			}
-		}
-	}
-}
-
-// shouldCheckpoint applies the tail-fraction trigger.
-func (st *Store) shouldCheckpoint() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed {
-		return false
-	}
-	tail := st.tailTriples
-	if tail < checkpointMinTail {
-		return false
-	}
-	return float64(tail) >= checkpointFraction*float64(st.g.Len())
-}
-
 // Stats returns a point-in-time summary.
 func (st *Store) Stats() Stats {
 	wal := st.wal.Stats()
@@ -483,43 +286,28 @@ func (st *Store) Stats() Stats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	s := Stats{
-		Triples:            snap.Len(),
-		DictTerms:          int(st.g.DictLen()),
-		BaseRun:            base,
-		MidRun:             mid,
-		DeltaRun:           delta,
-		SnapshotOffset:     st.snapOffset,
-		WALTailTriples:     st.tailTriples,
-		WALSegments:        wal.Segments,
-		WALBytes:           wal.Bytes,
-		Appended:           st.appended,
-		Checkpoints:        st.checkpoints,
-		CheckpointFailures: st.checkpointFails,
-		SnapshotLoaded:     st.snapshotLoaded,
-		ReplayedRecords:    st.replayedRecords,
-		ReplayedTriples:    st.replayedTriples,
-		SnapshotsSkipped:   st.snapshotsSkipped,
+		Triples:         snap.Len(),
+		DictTerms:       int(st.g.DictLen()),
+		BaseRun:         base,
+		MidRun:          mid,
+		DeltaRun:        delta,
+		WALTailTriples:  st.tailTriples,
+		WALSegments:     wal.Segments,
+		WALBytes:        wal.Bytes,
+		Appended:        st.appended,
+		ReplayedRecords: st.replayedRecords,
+		ReplayedTriples: st.replayedTriples,
 	}
-	// Offsets start at 1, so with no snapshot the whole log is tail.
-	snapBase := st.snapOffset
-	if snapBase < 1 {
-		snapBase = 1
+	// Offsets start at 1, so the log holds NextOffset-1 records.
+	if wal.NextOffset > 1 {
+		s.WALTailRecords = wal.NextOffset - 1
 	}
-	if wal.NextOffset > snapBase {
-		s.WALTailRecords = wal.NextOffset - snapBase
-	}
-	s.LastCheckpointAgeSecs = -1
-	if !st.lastCheckpoint.IsZero() {
-		s.LastCheckpointAgeSecs = time.Since(st.lastCheckpoint).Seconds()
-	}
-	s.LastCheckpointMicros = st.lastCheckpointD.Microseconds()
 	return s
 }
 
-// Close stops the checkpointer and closes the WAL (flushing buffered
-// appends). It does not checkpoint: the clean-shutdown path and the
-// crash path are deliberately identical, so recovery is exercised on
-// every reopen rather than only after crashes.
+// Close closes the WAL (flushing buffered appends). The clean-shutdown
+// path and the crash path are deliberately identical, so recovery is
+// exercised on every reopen rather than only after crashes.
 func (st *Store) Close() error {
 	st.mu.Lock()
 	if st.closed {
@@ -528,9 +316,5 @@ func (st *Store) Close() error {
 	}
 	st.closed = true
 	st.mu.Unlock()
-	close(st.stop)
-	st.wg.Wait()
-	// A checkpoint in flight still holds cpMu; let it finish against the
-	// closed WAL (its truncate may fail harmlessly).
 	return st.wal.Close()
 }

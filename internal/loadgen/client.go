@@ -55,8 +55,6 @@ type AckedSet struct {
 	mu        sync.Mutex
 	acked     map[string]struct{}
 	uncertain map[string]struct{}
-	// ackedBulletins counts acked events that carried a bulletin.
-	ackedBulletins int
 }
 
 // NewAckedSet returns an empty set.
@@ -69,9 +67,6 @@ func (a *AckedSet) ack(evs []Event) {
 	defer a.mu.Unlock()
 	for _, ev := range evs {
 		a.acked[ev.ID] = struct{}{}
-		if ev.Bulletin != nil {
-			a.ackedBulletins++
-		}
 	}
 }
 
@@ -103,13 +98,6 @@ func (a *AckedSet) Uncertain() map[string]struct{} {
 		out[id] = struct{}{}
 	}
 	return out
-}
-
-// AckedBulletins returns how many acked events carried bulletins.
-func (a *AckedSet) AckedBulletins() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.ackedBulletins
 }
 
 // publisherResult is one publisher worker's accounting.

@@ -133,7 +133,7 @@ type GraphReport struct {
 }
 
 // CheckGraph opens the graph store cold. Opening runs the same
-// recovery a restarted server performs (snapshot + WAL tail), but NOT
+// recovery a restarted server performs (WAL replay), but NOT
 // the repair dews.NewSystem runs against the event log — so this checks
 // the state the last server instance actually persisted.
 func CheckGraph(graphDir string, f *LogFacts) (*GraphReport, error) {

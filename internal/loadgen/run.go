@@ -349,18 +349,6 @@ func (r *Runner) SubscriberReports() []SubscriberReport {
 	return out
 }
 
-// SeenIDs merges every tracked subscriber's identity observations
-// (TrackIDs runs only).
-func (r *Runner) SeenIDs() map[string]int {
-	out := make(map[string]int)
-	for _, w := range r.subs {
-		for id, n := range w.res.seenIDs {
-			out[id] += n
-		}
-	}
-	return out
-}
-
 // ExactlyOnceViolations counts (subscriber, id) pairs where one stream
 // delivered the same event identity more than once. Offsets can be
 // legitimately reissued after a crash loses unsynced tail records, so

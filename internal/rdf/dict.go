@@ -1,9 +1,6 @@
 package rdf
 
-import (
-	"hash/maphash"
-	"sync"
-)
+import "sync"
 
 // ID is a dictionary-assigned identifier for an interned term. IDs are
 // dense, start at 1 and are never reused; 0 is reserved as "no term"
@@ -18,18 +15,14 @@ type IDTriple struct {
 // dict interns terms to dense uint32 IDs. It is append-only: a term,
 // once assigned an ID, keeps it for the lifetime of the dictionary.
 //
-// Lookups go through two structures: an optional frozen index over the
-// terms restored in bulk from a snapshot (immutable after construction,
-// so reads need no lock), and a sync.Map overlay for terms interned
-// afterwards, so snapshot readers resolve query constants without
-// taking any lock. Assignment (and growth of the reverse slice) is
-// serialized by mu. The reverse slice is only ever appended to, so a
-// slice header captured under mu remains valid forever: later appends
-// either write past the captured length or reallocate, never
-// disturbing already-published entries.
+// Lookups go through a sync.Map, so snapshot readers resolve query
+// constants without taking any lock. Assignment (and growth of the
+// reverse slice) is serialized by mu. The reverse slice is only ever
+// appended to, so a slice header captured under mu remains valid
+// forever: later appends either write past the captured length or
+// reallocate, never disturbing already-published entries.
 type dict struct {
-	frozen *frozenIndex // terms restored at construction, nil otherwise
-	ids    sync.Map     // term key (string) → ID, terms after frozen
+	ids sync.Map // term key (string) → ID
 
 	mu    sync.Mutex
 	terms []Term // ID-1 → term
@@ -39,11 +32,6 @@ func newDict() *dict { return &dict{} }
 
 // lookup resolves a term to its ID without interning it.
 func (d *dict) lookup(t Term) (ID, bool) {
-	if d.frozen != nil {
-		if id, ok := d.frozen.lookup(t); ok {
-			return id, true
-		}
-	}
 	v, ok := d.ids.Load(t.Key())
 	if !ok {
 		return 0, false
@@ -53,19 +41,13 @@ func (d *dict) lookup(t Term) (ID, bool) {
 
 // intern returns the ID for t, assigning a fresh one when unseen.
 func (d *dict) intern(t Term) ID {
-	if d.frozen != nil {
-		if id, ok := d.frozen.lookup(t); ok {
-			return id
-		}
-	}
 	key := t.Key()
 	if v, ok := d.ids.Load(key); ok {
 		return v.(ID)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	// Double-check: another writer may have interned t meanwhile. The
-	// frozen index is immutable, so only the overlay needs a recheck.
+	// Double-check: another writer may have interned t meanwhile.
 	if v, ok := d.ids.Load(key); ok {
 		return v.(ID)
 	}
@@ -88,101 +70,4 @@ func (d *dict) snapshotTerms() []Term {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.terms
-}
-
-// frozenIndex is an open-addressing hash index over a fixed term slice,
-// built once when a dictionary is restored from a snapshot. Building it
-// is the dominant cost of reopening a multi-million-triple store, so it
-// avoids everything a map[string]ID build pays per term: terms are
-// hashed field-by-field (no Key() string materialization, no per-entry
-// allocation) and slots hold only the uint32 ID — probe matches are
-// confirmed against the term slice itself.
-type frozenIndex struct {
-	seed  maphash.Seed
-	mask  uint64
-	slots []ID // hash slot → term ID, 0 = empty
-	terms []Term
-}
-
-// newFrozenIndex indexes terms (term i has ID i+1). The table is sized
-// to at most 50% load so linear probes stay short.
-func newFrozenIndex(terms []Term) *frozenIndex {
-	size := 8
-	for size < 2*len(terms) {
-		size <<= 1
-	}
-	ix := &frozenIndex{
-		seed:  maphash.MakeSeed(),
-		mask:  uint64(size - 1),
-		slots: make([]ID, size),
-		terms: terms,
-	}
-	for i, t := range terms {
-		at := ix.hash(t) & ix.mask
-		for ix.slots[at] != 0 {
-			at = (at + 1) & ix.mask
-		}
-		ix.slots[at] = ID(i + 1)
-	}
-	return ix
-}
-
-// lookup resolves t to its ID, or reports absence after hitting an
-// empty slot. Hash equality alone never decides a match: the candidate
-// term is compared, so collisions cost a probe step, not correctness.
-func (ix *frozenIndex) lookup(t Term) (ID, bool) {
-	for at := ix.hash(t) & ix.mask; ; at = (at + 1) & ix.mask {
-		id := ix.slots[at]
-		if id == 0 {
-			return 0, false
-		}
-		if termEq(ix.terms[id-1], t) {
-			return id, true
-		}
-	}
-}
-
-// hash digests a term's kind and fields directly, with separators so
-// field boundaries can't alias across kinds.
-func (ix *frozenIndex) hash(t Term) uint64 {
-	var h maphash.Hash
-	h.SetSeed(ix.seed)
-	switch t := t.(type) {
-	case IRI:
-		h.WriteByte(byte(KindIRI))
-		h.WriteString(string(t))
-	case BlankNode:
-		h.WriteByte(byte(KindBlank))
-		h.WriteString(string(t))
-	case Literal:
-		h.WriteByte(byte(KindLiteral))
-		h.WriteString(t.Lexical)
-		h.WriteByte(0xff)
-		h.WriteString(string(t.Datatype))
-		h.WriteByte(0xff)
-		h.WriteString(t.Lang)
-	default:
-		h.WriteByte(0xfe)
-		h.WriteString(t.Key())
-	}
-	return h.Sum64()
-}
-
-// termEq is RDF term equality specialized to the built-in kinds so the
-// frozen index's probe comparisons neither allocate (Key) nor risk an
-// interface comparison panic on exotic Term implementations.
-func termEq(a, b Term) bool {
-	switch a := a.(type) {
-	case IRI:
-		b, ok := b.(IRI)
-		return ok && a == b
-	case BlankNode:
-		b, ok := b.(BlankNode)
-		return ok && a == b
-	case Literal:
-		b, ok := b.(Literal)
-		return ok && a == b
-	default:
-		return Equal(a, b)
-	}
 }

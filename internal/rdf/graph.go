@@ -32,15 +32,15 @@ type Graph struct {
 	// base holds the sealed, sorted bulk of the data. The arrays are
 	// immutable once published (snapshots alias them); mutation replaces
 	// them wholesale.
-	base [nIndexes][]Key3
+	base [nIndexes][]key3
 	// mid is a sealed intermediate level between delta and base. It
 	// absorbs delta compactions so the O(n) base merge is paid only once
 	// per midCap(n) triples rather than once per deltaCap. Like base,
 	// its arrays are immutable once published.
-	mid [nIndexes][]Key3
+	mid [nIndexes][]key3
 	// delta holds recent writes, sorted, mutated in place. Snapshots
 	// copy it, so in-place mutation never invalidates a snapshot.
-	delta [nIndexes][]Key3
+	delta [nIndexes][]key3
 	n     int
 	// snap caches the latest snapshot; nil after any mutation.
 	snap *Snapshot
@@ -120,7 +120,7 @@ func (g *Graph) Add(t Triple) error {
 }
 
 func (g *Graph) addLocked(it IDTriple) {
-	k := Key3{it.S, it.P, it.O}
+	k := key3{it.S, it.P, it.O}
 	if g.containsLocked(k) {
 		return
 	}
@@ -134,7 +134,7 @@ func (g *Graph) addLocked(it IDTriple) {
 	}
 }
 
-func (g *Graph) containsLocked(k Key3) bool {
+func (g *Graph) containsLocked(k key3) bool {
 	return contains3(g.base[ixSPO], k) || contains3(g.mid[ixSPO], k) ||
 		contains3(g.delta[ixSPO], k)
 }
@@ -185,9 +185,9 @@ func (g *Graph) addBatchLocked(its []IDTriple) int {
 		}
 		return g.n - before
 	}
-	fresh := make([]Key3, 0, len(its))
+	fresh := make([]key3, 0, len(its))
 	for _, it := range its {
-		k := Key3{it.S, it.P, it.O}
+		k := key3{it.S, it.P, it.O}
 		if g.containsLocked(k) {
 			continue
 		}
@@ -205,7 +205,7 @@ func (g *Graph) addBatchLocked(its []IDTriple) int {
 		}
 	}
 	for ix := 0; ix < nIndexes; ix++ {
-		batch := make([]Key3, len(dedup))
+		batch := make([]key3, len(dedup))
 		if ix == ixSPO {
 			copy(batch, dedup)
 		} else {
@@ -260,7 +260,7 @@ func (g *Graph) Remove(t Triple) bool {
 // present. It is the ID-level form of Remove, used by the persistence
 // layer's WAL replay.
 func (g *Graph) RemoveID(it IDTriple) bool {
-	k := Key3{it.S, it.P, it.O}
+	k := key3{it.S, it.P, it.O}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	switch {
@@ -295,7 +295,7 @@ func (g *Graph) Has(t Triple) bool {
 	if !ok1 || !ok2 || !ok3 {
 		return false
 	}
-	k := Key3{sid, pid, oid}
+	k := key3{sid, pid, oid}
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return g.containsLocked(k)
@@ -304,8 +304,8 @@ func (g *Graph) Has(t Triple) bool {
 // rebuildWithout returns a fresh copy of a sealed sorted array with one
 // element dropped (the sealed arrays are aliased by snapshots and must
 // never be mutated in place).
-func rebuildWithout(old []Key3, kk Key3) []Key3 {
-	fresh := make([]Key3, 0, len(old)-1)
+func rebuildWithout(old []key3, kk key3) []key3 {
+	fresh := make([]key3, 0, len(old)-1)
 	for _, e := range old {
 		if e != kk {
 			fresh = append(fresh, e)
@@ -375,7 +375,7 @@ func (g *Graph) Clone() *Graph {
 	out := &Graph{d: g.d, base: g.base, mid: g.mid, n: g.n, bnodeSeq: g.bnodeSeq}
 	for ix := range g.delta {
 		if len(g.delta[ix]) > 0 {
-			out.delta[ix] = append([]Key3(nil), g.delta[ix]...)
+			out.delta[ix] = append([]key3(nil), g.delta[ix]...)
 		}
 	}
 	return out

@@ -2,42 +2,10 @@ package rdf
 
 import "fmt"
 
-// This file is the exported, ID-level surface the persistence layer
-// (internal/graphlog) is built on: enumerating a snapshot's dictionary
-// and sorted index runs for serialization, and reconstructing a graph
-// from them — plus the pre-interned mutation entry points a write-ahead
-// log needs so the bytes it frames are exactly the bytes replay applies.
-
-// Exported index identifiers for Snapshot.Run. They mirror the internal
-// permutation order: every Key3 of run IndexSPO is (S, P, O), of
-// IndexPOS is (P, O, S), and of IndexOSP is (O, S, P).
-const (
-	IndexSPO = ixSPO
-	IndexPOS = ixPOS
-	IndexOSP = ixOSP
-	// NumIndexes is the number of index permutations a graph maintains.
-	NumIndexes = nIndexes
-)
-
-// Terms returns the snapshot's frozen decode table: entry i is the term
-// with ID i+1. The slice is shared and must not be modified.
-func (s *Snapshot) Terms() []Term { return s.terms }
-
-// Run returns the snapshot's triples for one index permutation as a
-// single sorted, duplicate-free run, fusing the snapshot's internal
-// levels. When the snapshot has no unsealed writes (the common state
-// after bulk ingest or a compaction) the sealed base array is returned
-// directly without copying. The result aliases immutable snapshot data
-// and must not be modified.
-func (s *Snapshot) Run(ix int) []Key3 {
-	if ix < 0 || ix >= nIndexes {
-		return nil
-	}
-	if len(s.mid[ix]) == 0 && len(s.delta[ix]) == 0 {
-		return s.base[ix]
-	}
-	return mergeSorted(mergeSorted(s.base[ix], s.mid[ix]), s.delta[ix])
-}
+// This file is the exported, ID-level surface the graph write-ahead log
+// (internal/graphlog) is built on: the pre-interned mutation entry
+// points it needs so the bytes it frames are exactly the bytes replay
+// applies, and the dictionary access that replay restores terms with.
 
 // LevelLens returns the per-level run lengths of the snapshot's SPO
 // index (base, mid, delta) — the merge-structure shape, surfaced in
@@ -107,7 +75,7 @@ func (g *Graph) AddAllIDs(its []IDTriple) (int, error) {
 func (g *Graph) HasID(it IDTriple) bool {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.containsLocked(Key3{it.S, it.P, it.O})
+	return g.containsLocked(key3{it.S, it.P, it.O})
 }
 
 // DictLen returns the number of interned terms, which is also the
@@ -129,9 +97,9 @@ func (g *Graph) DictRange(after ID) []Term {
 
 // RestoreTerms extends the dictionary with terms whose IDs are already
 // known: term i of the slice has ID firstID+i. IDs at or below the
-// current DictLen must match the existing assignment (WAL replay after a
-// snapshot revisits the overlap); an ID gap or a conflicting assignment
-// is a corruption error.
+// current DictLen must match the existing assignment (a WAL record's
+// term delta can overlap the previous record's); an ID gap or a
+// conflicting assignment is a corruption error.
 func (g *Graph) RestoreTerms(firstID ID, terms []Term) error {
 	if firstID == 0 {
 		return fmt.Errorf("rdf: RestoreTerms with ID 0 (0 is the wildcard sentinel)")
@@ -160,102 +128,4 @@ func (g *Graph) RestoreTerms(firstID ID, terms []Term) error {
 		}
 	}
 	return nil
-}
-
-// BlankNodeSeq returns the graph's blank-node allocation cursor (the
-// number of NewBlankNode calls so far), for persistence.
-func (g *Graph) BlankNodeSeq() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.bnodeSeq
-}
-
-// RestoreBlankNodeSeq fast-forwards the blank-node allocation cursor so
-// a reopened graph never re-issues a label a persisted triple already
-// uses. It never moves the cursor backwards.
-func (g *Graph) RestoreBlankNodeSeq(n int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if n > g.bnodeSeq {
-		g.bnodeSeq = n
-	}
-}
-
-// NewGraphFromRuns reconstructs a graph directly from pre-sorted index
-// runs — the snapshot-load path. Each run must be strictly sorted in its
-// permutation's key order with every ID in [1, len(terms)], the three
-// runs must describe the same triple set, and terms must be positionally
-// valid for how the runs use them (subjects IRI or blank, predicates
-// IRI). Validation is a sequential pass per run so a corrupt or
-// hand-crafted snapshot fails with a clean error instead of corrupting
-// queries or panicking later.
-//
-// The runs and terms are adopted, not copied: they become the sealed
-// base arrays and decode table of the returned graph and must not be
-// modified afterwards.
-func NewGraphFromRuns(terms []Term, runs [NumIndexes][]Key3, bnodeSeq int) (*Graph, error) {
-	n := len(runs[ixSPO])
-	for ix := 1; ix < nIndexes; ix++ {
-		if len(runs[ix]) != n {
-			return nil, fmt.Errorf("rdf: index runs disagree on length: %d vs %d", n, len(runs[ix]))
-		}
-	}
-	kinds := make([]byte, len(terms))
-	for i, t := range terms {
-		if t == nil {
-			return nil, fmt.Errorf("rdf: nil term at ID %d", i+1)
-		}
-		kinds[i] = byte(t.Kind())
-	}
-	max := ID(len(terms))
-	var sums [nIndexes]uint64
-	for ix := 0; ix < nIndexes; ix++ {
-		var prev Key3
-		for i, k := range runs[ix] {
-			if k.A == 0 || k.A > max || k.B == 0 || k.B > max || k.C == 0 || k.C > max {
-				return nil, fmt.Errorf("rdf: run %d entry %d references ID outside [1, %d]", ix, i, max)
-			}
-			if i > 0 && !key3Less(prev, k) {
-				return nil, fmt.Errorf("rdf: run %d not strictly sorted at entry %d", ix, i)
-			}
-			prev = k
-			sums[ix] ^= mixTriple(fromKey(ix, k))
-		}
-	}
-	// The order-independent checksum catches runs that are individually
-	// well-formed but describe different triple sets, without the sort or
-	// hash table a direct comparison would need.
-	if sums[ixPOS] != sums[ixSPO] || sums[ixOSP] != sums[ixSPO] {
-		return nil, fmt.Errorf("rdf: index runs describe different triple sets")
-	}
-	for _, k := range runs[ixSPO] {
-		if sk := TermKind(kinds[k.A-1]); sk != KindIRI && sk != KindBlank {
-			return nil, fmt.Errorf("rdf: subject ID %d is a %s", k.A, sk)
-		}
-		if pk := TermKind(kinds[k.B-1]); pk != KindIRI {
-			return nil, fmt.Errorf("rdf: predicate ID %d is a %s", k.B, pk)
-		}
-	}
-	g := &Graph{d: newDictFromTerms(terms), base: runs, n: n, bnodeSeq: bnodeSeq}
-	return g, nil
-}
-
-// mixTriple hashes an ID-triple into a well-mixed word for the
-// order-independent run checksum (an xor-fold of per-triple hashes).
-func mixTriple(t IDTriple) uint64 {
-	h := uint64(t.S)*0x9E3779B185EBCA87 ^ uint64(t.P)*0xC2B2AE3D27D4EB4F ^ uint64(t.O)*0x165667B19E3779F9
-	h ^= h >> 29
-	h *= 0xBF58476D1CE4E5B9
-	h ^= h >> 32
-	return h
-}
-
-// newDictFromTerms builds a dictionary whose decode slice is exactly
-// terms. Populating the lookup structure is the dominant cost of a
-// snapshot load at millions of terms, so the restored terms go into the
-// frozen hash index — hashed in place, no Key() strings, no per-entry
-// allocation — which builds several times faster than any map[string]ID
-// and stays lock-free to read.
-func newDictFromTerms(terms []Term) *dict {
-	return &dict{terms: terms, frozen: newFrozenIndex(terms)}
 }

@@ -17,14 +17,11 @@ const (
 	nIndexes
 )
 
-// Key3 is one entry of a permuted index: a triple with its components
-// reordered into the index's (A, B, C) key order. It is exported for the
-// persistence layer (internal/graphlog), which serializes and reloads
-// the sorted runs directly; everything else should work with Triple or
-// IDTriple.
-type Key3 struct{ A, B, C ID }
+// key3 is one entry of a permuted index: a triple with its components
+// reordered into the index's (A, B, C) key order.
+type key3 struct{ A, B, C ID }
 
-func key3Less(x, y Key3) bool {
+func key3Less(x, y key3) bool {
 	if x.A != y.A {
 		return x.A < y.A
 	}
@@ -35,19 +32,19 @@ func key3Less(x, y Key3) bool {
 }
 
 // toKey permutes a triple into index order.
-func toKey(ix int, t IDTriple) Key3 {
+func toKey(ix int, t IDTriple) key3 {
 	switch ix {
 	case ixPOS:
-		return Key3{t.P, t.O, t.S}
+		return key3{t.P, t.O, t.S}
 	case ixOSP:
-		return Key3{t.O, t.S, t.P}
+		return key3{t.O, t.S, t.P}
 	default:
-		return Key3{t.S, t.P, t.O}
+		return key3{t.S, t.P, t.O}
 	}
 }
 
 // fromKey undoes toKey.
-func fromKey(ix int, k Key3) IDTriple {
+func fromKey(ix int, k key3) IDTriple {
 	switch ix {
 	case ixPOS:
 		return IDTriple{S: k.C, P: k.A, O: k.B}
@@ -60,7 +57,7 @@ func fromKey(ix int, k Key3) IDTriple {
 
 // range1 returns the [lo, hi) range of entries whose first component
 // equals a.
-func range1(arr []Key3, a ID) (int, int) {
+func range1(arr []key3, a ID) (int, int) {
 	lo := sort.Search(len(arr), func(i int) bool { return arr[i].A >= a })
 	hi := sort.Search(len(arr), func(i int) bool { return arr[i].A > a })
 	return lo, hi
@@ -68,7 +65,7 @@ func range1(arr []Key3, a ID) (int, int) {
 
 // range2 returns the [lo, hi) range of entries whose first two
 // components equal (a, b).
-func range2(arr []Key3, a, b ID) (int, int) {
+func range2(arr []key3, a, b ID) (int, int) {
 	lo := sort.Search(len(arr), func(i int) bool {
 		e := arr[i]
 		return e.A > a || (e.A == a && e.B >= b)
@@ -81,23 +78,23 @@ func range2(arr []Key3, a, b ID) (int, int) {
 }
 
 // contains3 reports whether the sorted array holds exactly k.
-func contains3(arr []Key3, k Key3) bool {
+func contains3(arr []key3, k key3) bool {
 	i := sort.Search(len(arr), func(i int) bool { return !key3Less(arr[i], k) })
 	return i < len(arr) && arr[i] == k
 }
 
 // insertSorted inserts k into the sorted array, keeping it sorted. The
 // caller has already established that k is absent.
-func insertSorted(arr []Key3, k Key3) []Key3 {
+func insertSorted(arr []key3, k key3) []key3 {
 	i := sort.Search(len(arr), func(i int) bool { return key3Less(k, arr[i]) })
-	arr = append(arr, Key3{})
+	arr = append(arr, key3{})
 	copy(arr[i+1:], arr[i:])
 	arr[i] = k
 	return arr
 }
 
 // removeSorted deletes k from the sorted array in place.
-func removeSorted(arr []Key3, k Key3) []Key3 {
+func removeSorted(arr []key3, k key3) []key3 {
 	i := sort.Search(len(arr), func(i int) bool { return !key3Less(arr[i], k) })
 	if i < len(arr) && arr[i] == k {
 		copy(arr[i:], arr[i+1:])
@@ -107,8 +104,8 @@ func removeSorted(arr []Key3, k Key3) []Key3 {
 }
 
 // mergeSorted merges two sorted, duplicate-free arrays into a fresh one.
-func mergeSorted(base, delta []Key3) []Key3 {
-	out := make([]Key3, 0, len(base)+len(delta))
+func mergeSorted(base, delta []key3) []key3 {
+	out := make([]key3, 0, len(base)+len(delta))
 	i, j := 0, 0
 	for i < len(base) && j < len(delta) {
 		if key3Less(base[i], delta[j]) {
@@ -134,9 +131,9 @@ func mergeSorted(base, delta []Key3) []Key3 {
 type Snapshot struct {
 	d     *dict
 	terms []Term // frozen decode table: ID-1 → term
-	base  [nIndexes][]Key3
-	mid   [nIndexes][]Key3
-	delta [nIndexes][]Key3
+	base  [nIndexes][]key3
+	mid   [nIndexes][]key3
+	delta [nIndexes][]key3
 	n     int
 }
 
@@ -145,11 +142,11 @@ type Snapshot struct {
 // place), the small unsealed delta is copied so later writes cannot
 // leak into the frozen view. After this constructor returns, the
 // snapshot is frozen.
-func newSnapshot(d *dict, terms []Term, base, mid, delta [nIndexes][]Key3, n int) *Snapshot {
+func newSnapshot(d *dict, terms []Term, base, mid, delta [nIndexes][]key3, n int) *Snapshot {
 	s := &Snapshot{d: d, terms: terms, base: base, mid: mid, n: n}
 	for i := range delta {
 		if len(delta[i]) > 0 {
-			s.delta[i] = append([]Key3(nil), delta[i]...)
+			s.delta[i] = append([]key3(nil), delta[i]...)
 		}
 	}
 	return s
@@ -157,8 +154,8 @@ func newSnapshot(d *dict, terms []Term, base, mid, delta [nIndexes][]Key3, n int
 
 // levels returns the snapshot's sorted runs for one index, largest
 // first.
-func (s *Snapshot) levels(ix int) [3][]Key3 {
-	return [3][]Key3{s.base[ix], s.mid[ix], s.delta[ix]}
+func (s *Snapshot) levels(ix int) [3][]key3 {
+	return [3][]key3{s.base[ix], s.mid[ix], s.delta[ix]}
 }
 
 // Len returns the number of triples in the snapshot.
@@ -267,7 +264,7 @@ func (s *Snapshot) CountID(sp, pp, op ID) int {
 
 // HasID reports whether the exact ID-triple is present.
 func (s *Snapshot) HasID(t IDTriple) bool {
-	k := Key3{t.S, t.P, t.O}
+	k := key3{t.S, t.P, t.O}
 	return contains3(s.base[ixSPO], k) || contains3(s.mid[ixSPO], k) ||
 		contains3(s.delta[ixSPO], k)
 }
