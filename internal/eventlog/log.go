@@ -786,69 +786,6 @@ func (l *Log) compactLoop() {
 	}
 }
 
-// Rotate seals the active segment and starts a fresh one, regardless of
-// size. A caller rotates before truncating so every record written so
-// far lives in a sealed segment and is therefore droppable by
-// TruncateBefore. Rotating an empty active
-// segment is a no-op.
-func (l *Log) Rotate() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return errors.New("eventlog: log is closed")
-	}
-	tail := l.segments[len(l.segments)-1]
-	if tail.count == 0 {
-		return nil
-	}
-	if err := l.sealActive(); err != nil {
-		l.sealFailures++
-		return err
-	}
-	return nil
-}
-
-// TruncateBefore drops sealed segments every record of which precedes
-// offset, returning how many were removed. Unlike Compact it is
-// offset-directed, not policy-directed, but shares its safety
-// properties — only sealed segments are candidates, the active segment
-// always survives, removal runs outside the lock, and a removal failure
-// stops the sweep so the remaining segment set stays offset-contiguous.
-func (l *Log) TruncateBefore(offset uint64) (int, error) {
-	l.compactMu.Lock()
-	defer l.compactMu.Unlock()
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return 0, errors.New("eventlog: log is closed")
-	}
-	var drop []*segment
-	for len(l.segments)-len(drop) > 1 {
-		seg := l.segments[len(drop)]
-		if seg.sealedAt.IsZero() || seg.end() > offset {
-			break
-		}
-		drop = append(drop, seg)
-	}
-	l.mu.Unlock()
-	removed := 0
-	var firstErr error
-	for _, seg := range drop {
-		if err := os.Remove(seg.path); err != nil { //dewsvet:lockhold-ok compactMu serializes sweeps only; appenders take l.mu, never compactMu
-			firstErr = fmt.Errorf("eventlog: removing %s: %w", seg.path, err)
-			break
-		}
-		removed++
-	}
-	if removed > 0 {
-		l.mu.Lock()
-		l.segments = append(l.segments[:0], l.segments[removed:]...)
-		l.compacted += uint64(removed)
-		l.mu.Unlock()
-	}
-	return removed, firstErr
-}
-
 // Compact applies the retention policy now, returning how many segments
 // were dropped. Only sealed segments are candidates; file removal runs
 // outside the lock so a sweep never blocks appends. Sweeps are

@@ -36,8 +36,8 @@ func uvarint(body []byte, at int) (int, int, error) {
 	return int(v), at, nil
 }
 
-// uvarintVal reads one uvarint value field (not a length — an ID or a
-// count) without the remaining-bytes bound.
+// uvarintVal reads one uvarint value field (not a length — a count)
+// without the remaining-bytes bound.
 func uvarintVal(body []byte, at int) (uint64, int, error) {
 	v, n := binary.Uvarint(body[at:])
 	if n <= 0 {
@@ -130,37 +130,33 @@ func decodeTerm(body []byte, at int) (rdf.Term, int, error) {
 // WAL record payload layout (the eventlog frame already carries length +
 // CRC + offset; this is the body the graph layer owns):
 //
-//	u8      recType (walRecBatch)
-//	uvarint firstID          dict-delta base (meaningful when termCount > 0)
-//	uvarint termCount, then termCount × term
-//	uvarint addCount,  then addCount  × (uvarint S, uvarint P, uvarint O)
-//	uvarint delCount,  then delCount  × (uvarint S, uvarint P, uvarint O)
-const walRecBatch = 1
+//	u8      recType (walRecTriples)
+//	uvarint addCount, then addCount × (term S, term P, term O)
+//	uvarint delCount, then delCount × (term S, term P, term O)
+//
+// Triples travel by value, so a record means the same thing whatever
+// IDs the graph's term dictionary assigns on replay.
+const walRecTriples = 2
 
-// walBatch is one committed mutation batch: the terms the batch
-// interned (IDs firstID..firstID+len(terms)-1) plus the ID-triples it
-// added and removed.
+// walRecIDTriples is the record type of an older build's WAL, which
+// logged dictionary deltas plus ID-triples. Open refuses it.
+const walRecIDTriples = 1
+
+// walBatch is one committed mutation batch: the triples it added and
+// removed.
 type walBatch struct {
-	firstID rdf.ID
-	terms   []rdf.Term
-	add     []rdf.IDTriple
-	del     []rdf.IDTriple
+	add, del []rdf.Triple
 }
 
 // appendWALBatch appends b's payload encoding to dst.
 func appendWALBatch(dst []byte, b *walBatch) []byte {
-	dst = append(dst, walRecBatch)
-	dst = binary.AppendUvarint(dst, uint64(b.firstID))
-	dst = binary.AppendUvarint(dst, uint64(len(b.terms)))
-	for _, t := range b.terms {
-		dst = appendTerm(dst, t)
-	}
-	for _, its := range [2][]rdf.IDTriple{b.add, b.del} {
-		dst = binary.AppendUvarint(dst, uint64(len(its)))
-		for _, it := range its {
-			dst = binary.AppendUvarint(dst, uint64(it.S))
-			dst = binary.AppendUvarint(dst, uint64(it.P))
-			dst = binary.AppendUvarint(dst, uint64(it.O))
+	dst = append(dst, walRecTriples)
+	for _, ts := range [2][]rdf.Triple{b.add, b.del} {
+		dst = binary.AppendUvarint(dst, uint64(len(ts)))
+		for _, t := range ts {
+			dst = appendTerm(dst, t.S)
+			dst = appendTerm(dst, t.P)
+			dst = appendTerm(dst, t.O)
 		}
 	}
 	return dst
@@ -171,69 +167,38 @@ func decodeWALBatch(body []byte) (*walBatch, error) {
 	if len(body) == 0 {
 		return nil, fmt.Errorf("graphlog: empty WAL record")
 	}
-	if body[0] != walRecBatch {
+	switch body[0] {
+	case walRecTriples:
+	case walRecIDTriples:
+		return nil, fmt.Errorf("graphlog: WAL record in the dictionary-ID format (type %d) of an older build; "+
+			"delete the graph directory: dews rebuilds the graph from the log's bulletin/# records", body[0])
+	default:
 		return nil, fmt.Errorf("graphlog: unknown WAL record type %d", body[0])
 	}
 	b := &walBatch{}
-	first, at, err := uvarintVal(body, 1)
-	if err != nil {
-		return nil, fmt.Errorf("graphlog: WAL batch firstID: %w", err)
-	}
-	if first > 1<<32-1 {
-		return nil, fmt.Errorf("graphlog: WAL batch firstID %d overflows ID", first)
-	}
-	b.firstID = rdf.ID(first)
-	termCount, at, err := uvarintVal(body, at)
-	if err != nil {
-		return nil, fmt.Errorf("graphlog: WAL batch term count: %w", err)
-	}
-	// Every encoded term is at least 2 bytes, every encoded triple at
-	// least 3: a corrupt count cannot force a huge allocation.
-	if termCount > uint64(len(body)-at)/2 {
-		return nil, fmt.Errorf("graphlog: WAL batch claims %d terms in %d bytes", termCount, len(body)-at)
-	}
-	if termCount > 0 {
-		if b.firstID == 0 {
-			return nil, fmt.Errorf("graphlog: WAL batch with terms but firstID 0")
-		}
-		b.terms = make([]rdf.Term, 0, termCount)
-		for i := uint64(0); i < termCount; i++ {
-			var t rdf.Term
-			if t, at, err = decodeTerm(body, at); err != nil {
-				return nil, fmt.Errorf("graphlog: WAL batch term %d: %w", i, err)
-			}
-			b.terms = append(b.terms, t)
-		}
-	}
-	for which, dst := range []*[]rdf.IDTriple{&b.add, &b.del} {
+	at := 1
+	for which, dst := range []*[]rdf.Triple{&b.add, &b.del} {
 		count, next, err := uvarintVal(body, at)
 		if err != nil {
 			return nil, fmt.Errorf("graphlog: WAL batch triple count: %w", err)
 		}
 		at = next
-		if count > uint64(len(body)-at) {
+		// Every encoded term is at least 2 bytes, so every triple at
+		// least 6: a corrupt count cannot force a huge allocation.
+		if count > uint64(len(body)-at)/6 {
 			return nil, fmt.Errorf("graphlog: WAL batch claims %d triples in %d bytes", count, len(body)-at)
 		}
-		if count == 0 {
-			continue
-		}
-		its := make([]rdf.IDTriple, 0, count)
-		for i := uint64(0); i < count; i++ {
-			var s, p, o uint64
-			if s, at, err = uvarintVal(body, at); err == nil {
-				if p, at, err = uvarintVal(body, at); err == nil {
-					o, at, err = uvarintVal(body, at)
+		ts := make([]rdf.Triple, count)
+		for i := range ts {
+			var spo [3]rdf.Term
+			for j := range spo {
+				if spo[j], at, err = decodeTerm(body, at); err != nil {
+					return nil, fmt.Errorf("graphlog: WAL batch triple %d of set %d: %w", i, which, err)
 				}
 			}
-			if err != nil {
-				return nil, fmt.Errorf("graphlog: WAL batch triple %d of set %d: %w", i, which, err)
-			}
-			if s == 0 || s > 1<<32-1 || p == 0 || p > 1<<32-1 || o == 0 || o > 1<<32-1 {
-				return nil, fmt.Errorf("graphlog: WAL batch triple %d has ID outside [1, 2^32)", i)
-			}
-			its = append(its, rdf.IDTriple{S: rdf.ID(s), P: rdf.ID(p), O: rdf.ID(o)})
+			ts[i] = rdf.Triple{S: spo[0], P: spo[1], O: spo[2]}
 		}
-		*dst = its
+		*dst = ts
 	}
 	if at != len(body) {
 		return nil, fmt.Errorf("graphlog: WAL batch has %d trailing bytes", len(body)-at)

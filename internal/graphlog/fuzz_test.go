@@ -13,20 +13,18 @@ import (
 // batch.
 func FuzzDecodeGraphWAL(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{walRecBatch})
-	seed := walBatch{
-		firstID: 3,
-		terms: []rdf.Term{
-			rdf.IRI("http://e/x"),
-			rdf.BlankNode("b1"),
-			rdf.NewLangLiteral("hi", "en"),
-			rdf.NewTypedLiteral("4", rdf.XSDInteger),
-			rdf.NewLiteral("plain"),
+	f.Add([]byte{walRecTriples})
+	f.Add(appendWALBatch(nil, &walBatch{
+		add: []rdf.Triple{
+			rdf.T(rdf.IRI("http://e/x"), rdf.IRI("http://e/p"), rdf.NewLangLiteral("hi", "en")),
+			rdf.T(rdf.BlankNode("b1"), rdf.IRI("http://e/p"), rdf.NewTypedLiteral("4", rdf.XSDInteger)),
+			rdf.T(rdf.IRI("http://e/x"), rdf.IRI("http://e/q"), rdf.BlankNode("b1")),
 		},
-		add: []rdf.IDTriple{{S: 3, P: 4, O: 5}, {S: 1, P: 4, O: 7}},
-		del: []rdf.IDTriple{{S: 1, P: 2, O: 3}},
-	}
-	f.Add(appendWALBatch(nil, &seed))
+		del: []rdf.Triple{
+			rdf.T(rdf.IRI("http://e/y"), rdf.IRI("http://e/p"), rdf.NewLiteral("plain")),
+		},
+	}))
+	f.Add(appendWALBatch(nil, &walBatch{del: bulletin(7)}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := decodeWALBatch(data)
 		if err != nil {

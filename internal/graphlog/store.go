@@ -69,7 +69,7 @@ type Stats struct {
 // Store is a persistent rdf.Graph: a write-ahead log of committed
 // mutation batches, replayed in full by Open.
 //
-// All mutations must go through the store (AddAll, Add, Remove); reads
+// All mutations must go through the store (AddAll, Remove); reads
 // go through Graph(), which is safe for concurrent readers. The store
 // serializes commits internally: a batch is encoded, appended to the
 // WAL, and only then applied to the in-memory graph, all under one
@@ -82,12 +82,11 @@ type Stats struct {
 // replays the rest, leaving the graph exactly as if the lost commits
 // had never happened.
 type Store struct {
-	mu         sync.Mutex
-	g          *rdf.Graph
-	wal        *eventlog.Log
-	lastTermID rdf.ID // highest term ID already captured by a WAL record
-	encBuf     []byte
-	closed     bool
+	mu     sync.Mutex
+	g      *rdf.Graph
+	wal    *eventlog.Log
+	encBuf []byte
+	closed bool
 
 	// Stats state, guarded by mu.
 	tailTriples     uint64
@@ -119,7 +118,6 @@ func Open(cfg Config) (*Store, error) {
 		// sees the full teardown story instead of a silently leaked WAL.
 		return nil, errors.Join(err, wal.Close())
 	}
-	st.lastTermID = st.g.DictLen()
 	return st, nil
 }
 
@@ -137,7 +135,12 @@ func (st *Store) recover() error {
 		if err != nil {
 			return fmt.Errorf("WAL record %d: %w", rec.Offset, err)
 		}
-		return st.apply(rec.Offset, b)
+		if err := st.apply(b); err != nil {
+			return fmt.Errorf("WAL record %d: %w", rec.Offset, err)
+		}
+		st.replayedRecords++
+		st.replayedTriples += len(b.add) + len(b.del)
+		return nil
 	})
 	if err != nil {
 		return fmt.Errorf("graphlog: replay: %w", err)
@@ -145,23 +148,15 @@ func (st *Store) recover() error {
 	return nil
 }
 
-// apply replays one decoded WAL batch onto the graph.
-func (st *Store) apply(off uint64, b *walBatch) error {
-	if len(b.terms) > 0 {
-		if err := st.g.RestoreTerms(b.firstID, b.terms); err != nil {
-			return fmt.Errorf("WAL record %d: %w", off, err)
-		}
+// apply applies one batch to the graph: a committed one, or a decoded
+// WAL record on replay.
+func (st *Store) apply(b *walBatch) error {
+	if err := st.g.AddAll(b.add...); err != nil {
+		return err
 	}
-	if len(b.add) > 0 {
-		if _, err := st.g.AddAllIDs(b.add); err != nil {
-			return fmt.Errorf("WAL record %d: %w", off, err)
-		}
+	for _, t := range b.del {
+		st.g.Remove(t)
 	}
-	for _, it := range b.del {
-		st.g.RemoveID(it)
-	}
-	st.replayedRecords++
-	st.replayedTriples += len(b.add) + len(b.del)
 	st.tailTriples += uint64(len(b.add) + len(b.del))
 	return nil
 }
@@ -171,14 +166,20 @@ func (st *Store) apply(off uint64, b *walBatch) error {
 // crash recovery — use the store's mutation methods.
 func (st *Store) Graph() *rdf.Graph { return st.g }
 
-// AddAll validates, interns and durably adds a batch of triples.
+// AddAll validates and durably adds a batch of triples.
 // Like rdf.Graph.AddAll it applies the valid prefix and returns the
 // first validation error; a WAL write error means the batch (or a
 // suffix of it, for bulk loads beyond the chunking limit) was not
 // applied.
 func (st *Store) AddAll(ts ...rdf.Triple) error {
-	its, ferr := st.g.InternTriples(ts)
-	if len(its) == 0 {
+	var ferr error
+	for i, t := range ts {
+		if err := t.Validate(); err != nil {
+			ferr, ts = err, ts[:i]
+			break
+		}
+	}
+	if len(ts) == 0 {
 		return ferr
 	}
 	st.mu.Lock()
@@ -186,65 +187,49 @@ func (st *Store) AddAll(ts ...rdf.Triple) error {
 	if st.closed {
 		return ErrClosed
 	}
-	for len(its) > 0 {
-		chunk := its
-		if len(chunk) > walBatchTriples {
-			chunk = chunk[:walBatchTriples]
-		}
-		its = its[len(chunk):]
+	for len(ts) > 0 {
+		chunk := ts[:min(len(ts), walBatchTriples)]
+		ts = ts[len(chunk):]
 		// Skip triples already present so re-asserting facts (reasoners,
-		// idempotent publishers) doesn't grow the WAL.
-		fresh := make([]rdf.IDTriple, 0, len(chunk))
-		for _, it := range chunk {
-			if !st.g.HasID(it) {
-				fresh = append(fresh, it)
+		// idempotent publishers, the open-time repair) doesn't grow the WAL.
+		fresh := make([]rdf.Triple, 0, len(chunk))
+		for _, t := range chunk {
+			if !st.g.Has(t) {
+				fresh = append(fresh, t)
 			}
 		}
-		if err := st.commitLocked(fresh, nil); err != nil {
+		if err := st.commitLocked(&walBatch{add: fresh}); err != nil {
 			return err
 		}
 	}
 	return ferr
 }
 
-// Add durably adds a single triple.
-func (st *Store) Add(t rdf.Triple) error { return st.AddAll(t) }
-
 // Remove durably removes a triple, reporting whether it was present.
+// Removing an absent triple writes nothing, so it succeeds even on a
+// closed store.
 func (st *Store) Remove(t rdf.Triple) (bool, error) {
-	it, ok := st.g.LookupIDTriple(t)
-	if !ok {
-		return false, nil
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if !st.g.Has(t) {
+		return false, nil
+	}
 	if st.closed {
 		return false, ErrClosed
 	}
-	if !st.g.HasID(it) {
-		return false, nil
-	}
-	if err := st.commitLocked(nil, []rdf.IDTriple{it}); err != nil {
+	if err := st.commitLocked(&walBatch{del: []rdf.Triple{t}}); err != nil {
 		return false, err
 	}
 	return true, nil
 }
 
-// commitLocked writes one WAL record for the mutation and applies it to
-// the graph. Caller holds st.mu. The dict delta is every term interned
-// since the last commit — interning is concurrent, so the delta can
-// include terms of batches still waiting on the lock; replay tolerates
-// the overlap (RestoreTerms verifies instead of re-appending).
-func (st *Store) commitLocked(add, del []rdf.IDTriple) error {
-	if len(add) == 0 && len(del) == 0 {
+// commitLocked writes one WAL record for the batch and applies it to
+// the graph. Caller holds st.mu.
+func (st *Store) commitLocked(b *walBatch) error {
+	if len(b.add) == 0 && len(b.del) == 0 {
 		return nil
 	}
-	b := walBatch{firstID: st.lastTermID + 1, add: add, del: del}
-	if cur := st.g.DictLen(); cur > st.lastTermID {
-		b.terms = st.g.DictRange(st.lastTermID)
-		st.lastTermID = cur
-	}
-	st.encBuf = appendWALBatch(st.encBuf[:0], &b)
+	st.encBuf = appendWALBatch(st.encBuf[:0], b)
 	// WAL order must equal apply order: the append happens under st.mu by
 	// design, or two racing commits could land in the log in the opposite
 	// order of their graph application and replay would diverge.
@@ -254,23 +239,12 @@ func (st *Store) commitLocked(add, del []rdf.IDTriple) error {
 		Time:    time.Now().UTC(),
 		Payload: st.encBuf,
 	}); err != nil {
-		// The record did not land: roll back the delta cursor so the
-		// terms ride along with the next successful commit.
-		if b.terms != nil {
-			st.lastTermID = b.firstID - 1
-		}
 		return fmt.Errorf("graphlog: WAL append: %w", err)
 	}
-	if len(add) > 0 {
-		if _, err := st.g.AddAllIDs(add); err != nil {
-			return err
-		}
-	}
-	for _, it := range del {
-		st.g.RemoveID(it)
+	if err := st.apply(b); err != nil {
+		return err
 	}
 	st.appended++
-	st.tailTriples += uint64(len(add) + len(del))
 	return nil
 }
 

@@ -4,9 +4,11 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/eventlog"
 	"repro/internal/rdf"
 )
 
@@ -150,21 +152,49 @@ func TestStoreDedupesRewrites(t *testing.T) {
 
 func TestStoreClosedErrors(t *testing.T) {
 	st := openTestStore(t, t.TempDir(), Config{})
+	if err := st.AddAll(bulletin(0)...); err != nil {
+		t.Fatal(err)
+	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AddAll(bulletin(0)...); err != ErrClosed {
+	if err := st.AddAll(bulletin(1)...); err != ErrClosed {
 		t.Fatalf("AddAll on closed store = %v, want ErrClosed", err)
 	}
-	// The rejected AddAll still interned the terms, so Remove's lookup
-	// succeeds and it must hit the closed check.
+	// The triple is present, so removing it needs a WAL record and must
+	// hit the closed check.
 	if _, err := st.Remove(bulletin(0)[0]); err != ErrClosed {
 		t.Fatalf("Remove on closed store = %v, want ErrClosed", err)
 	}
 	if _, err := st.Remove(rdf.T(iri("never"), iri("seen"), iri("terms"))); err != nil {
-		t.Fatalf("Remove of unknown triple = %v, want nil (lookup short-circuits)", err)
+		t.Fatalf("Remove of unknown triple = %v, want nil (nothing to log)", err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatalf("second Close = %v, want nil", err)
+	}
+}
+
+func TestStoreRefusesDictionaryIDFormat(t *testing.T) {
+	dir := t.TempDir()
+	wal, err := eventlog.Open(eventlog.Config{Dir: filepath.Join(dir, "wal")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An older build's record: type 1, firstID 1, one term, one ID-triple.
+	old := []byte{walRecIDTriples, 1, 1, termIRI, 1, 'x', 1, 1, 1, 1, 0}
+	if _, err := wal.Append(eventlog.Record{Topic: walTopic, Time: time.Now().UTC(), Payload: old}); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(Config{Dir: dir})
+	if err == nil {
+		t.Fatal("Open accepted a WAL in the dictionary-ID format")
+	}
+	for _, want := range []string{"dictionary-ID format (type 1)", "delete the graph directory", "bulletin/#"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("Open error %q does not mention %q", err, want)
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package rdf
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 )
@@ -44,23 +43,11 @@ type Graph struct {
 	n     int
 	// snap caches the latest snapshot; nil after any mutation.
 	snap *Snapshot
-	// bnodeSeq numbers graph-allocated blank nodes.
-	bnodeSeq int
 }
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
 	return &Graph{d: newDict()}
-}
-
-// NewGraphFrom returns a graph initialized with the given triples.
-// Invalid triples are rejected with an error.
-func NewGraphFrom(ts ...Triple) (*Graph, error) {
-	g := NewGraph()
-	if err := g.AddAll(ts...); err != nil {
-		return nil, err
-	}
-	return g, nil
 }
 
 // Len returns the number of distinct triples in the graph.
@@ -70,15 +57,10 @@ func (g *Graph) Len() int {
 	return g.n
 }
 
-// NewBlankNode allocates a fresh blank node with a label unique within
-// this graph ("g0", "g1", ...).
-func (g *Graph) NewBlankNode() BlankNode {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	b := BlankNode(fmt.Sprintf("g%d", g.bnodeSeq))
-	g.bnodeSeq++
-	return b
-}
+// DictLen returns the number of interned terms, which is also the
+// highest assigned ID. It counts the shared dictionary, so clones of a
+// graph report the same value.
+func (g *Graph) DictLen() ID { return g.d.len() }
 
 // Snapshot returns an immutable point-in-time view of the graph. It is
 // O(len(delta)) when the graph changed since the last call and O(1)
@@ -163,9 +145,19 @@ func (g *Graph) compactLocked() {
 // triple; the valid prefix is still applied (documented fail-fast
 // semantics).
 func (g *Graph) AddAll(ts ...Triple) error {
-	its, ferr := g.InternTriples(ts)
-	if len(its) == 0 {
+	var ferr error
+	for i, t := range ts {
+		if err := t.Validate(); err != nil {
+			ferr, ts = err, ts[:i]
+			break
+		}
+	}
+	if len(ts) == 0 {
 		return ferr
+	}
+	its := make([]IDTriple, len(ts))
+	for i, t := range ts {
+		its[i] = IDTriple{S: g.d.intern(t.S), P: g.d.intern(t.P), O: g.d.intern(t.O)}
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -176,14 +168,13 @@ func (g *Graph) AddAll(ts ...Triple) error {
 // addBatchLocked applies a batch of pre-interned triples atomically. Small
 // batches go through the per-triple insert; larger ones sort the batch
 // once per index and merge, instead of paying one insertion memmove (and
-// potential compaction) per triple. It returns how many were new.
-func (g *Graph) addBatchLocked(its []IDTriple) int {
+// potential compaction) per triple.
+func (g *Graph) addBatchLocked(its []IDTriple) {
 	if len(its) <= deltaCap {
-		before := g.n
 		for _, it := range its {
 			g.addLocked(it)
 		}
-		return g.n - before
+		return
 	}
 	fresh := make([]key3, 0, len(its))
 	for _, it := range its {
@@ -194,7 +185,7 @@ func (g *Graph) addBatchLocked(its []IDTriple) int {
 		fresh = append(fresh, k)
 	}
 	if len(fresh) == 0 {
-		return 0
+		return
 	}
 	sort.Slice(fresh, func(i, j int) bool { return key3Less(fresh[i], fresh[j]) })
 	// Batch-internal duplicates survive the membership filter; drop them.
@@ -228,7 +219,6 @@ func (g *Graph) addBatchLocked(its []IDTriple) int {
 		}
 	}
 	g.snap = nil
-	return len(dedup)
 }
 
 // MustAdd inserts a triple and panics on malformed input. It is intended
@@ -253,14 +243,8 @@ func (g *Graph) Remove(t Triple) bool {
 	if !ok1 || !ok2 || !ok3 {
 		return false
 	}
-	return g.RemoveID(IDTriple{S: sid, P: pid, O: oid})
-}
-
-// RemoveID deletes a dictionary-encoded triple, reporting whether it was
-// present. It is the ID-level form of Remove, used by the persistence
-// layer's WAL replay.
-func (g *Graph) RemoveID(it IDTriple) bool {
-	k := key3{it.S, it.P, it.O}
+	it := IDTriple{S: sid, P: pid, O: oid}
+	k := key3{sid, pid, oid}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	switch {
@@ -372,7 +356,7 @@ func (g *Graph) Merge(src *Graph) {
 func (g *Graph) Clone() *Graph {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := &Graph{d: g.d, base: g.base, mid: g.mid, n: g.n, bnodeSeq: g.bnodeSeq}
+	out := &Graph{d: g.d, base: g.base, mid: g.mid, n: g.n}
 	for ix := range g.delta {
 		if len(g.delta[ix]) > 0 {
 			out.delta[ix] = append([]key3(nil), g.delta[ix]...)

@@ -194,31 +194,6 @@ func TestGraphMergeCloneEqual(t *testing.T) {
 	}
 }
 
-func TestNewGraphFrom(t *testing.T) {
-	g, err := NewGraphFrom(T(exA, exP, exB), T(exB, exP, exC))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Len() != 2 {
-		t.Fatalf("Len = %d", g.Len())
-	}
-	if _, err := NewGraphFrom(Triple{}); err == nil {
-		t.Fatal("NewGraphFrom with invalid triple should error")
-	}
-}
-
-func TestNewBlankNodeUnique(t *testing.T) {
-	g := NewGraph()
-	seen := make(map[BlankNode]bool)
-	for i := 0; i < 100; i++ {
-		b := g.NewBlankNode()
-		if seen[b] {
-			t.Fatalf("duplicate blank node %s", b)
-		}
-		seen[b] = true
-	}
-}
-
 func TestGraphConcurrency(t *testing.T) {
 	g := NewGraph()
 	var wg sync.WaitGroup

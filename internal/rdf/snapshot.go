@@ -161,6 +161,13 @@ func (s *Snapshot) levels(ix int) [3][]key3 {
 // Len returns the number of triples in the snapshot.
 func (s *Snapshot) Len() int { return s.n }
 
+// LevelLens returns the per-level run lengths of the snapshot's SPO
+// index (base, mid, delta) — the merge-structure shape, surfaced in
+// store stats.
+func (s *Snapshot) LevelLens() (base, mid, delta int) {
+	return len(s.base[ixSPO]), len(s.mid[ixSPO]), len(s.delta[ixSPO])
+}
+
 // LookupID resolves a term to its dictionary ID. A term the dictionary
 // has never seen cannot occur in any triple of this snapshot.
 func (s *Snapshot) LookupID(t Term) (ID, bool) {

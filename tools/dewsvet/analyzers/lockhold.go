@@ -93,15 +93,12 @@ var knownBlockingCalls = map[string]string{
 	"(net/http.ResponseWriter).Write": "HTTP response write",
 	"(net/http.Flusher).Flush":        "HTTP response flush",
 	// this repository's durable APIs: every one reaches the WAL file
-	"(*repro/internal/eventlog.Log).Append":         "WAL append",
-	"(*repro/internal/eventlog.Log).AppendBatch":    "WAL append",
-	"(*repro/internal/eventlog.Log).Sync":           "WAL fsync",
-	"(*repro/internal/eventlog.Log).Scan":           "WAL scan",
-	"(*repro/internal/eventlog.Log).ScanFrom":       "WAL scan",
-	"(*repro/internal/eventlog.Log).Rotate":         "WAL rotation",
-	"(*repro/internal/eventlog.Log).TruncateBefore": "WAL truncation",
-	"(*repro/internal/eventlog.Log).Compact":        "WAL compaction",
-	"(*repro/internal/eventlog.Log).Close":          "WAL close",
+	"(*repro/internal/eventlog.Log).Append":      "WAL append",
+	"(*repro/internal/eventlog.Log).AppendBatch": "WAL append",
+	"(*repro/internal/eventlog.Log).Sync":        "WAL fsync",
+	"(*repro/internal/eventlog.Log).Scan":        "WAL scan",
+	"(*repro/internal/eventlog.Log).Compact":     "WAL compaction",
+	"(*repro/internal/eventlog.Log).Close":       "WAL close",
 }
 
 func runLockhold(pass *analysis.Pass) error {
