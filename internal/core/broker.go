@@ -460,7 +460,7 @@ func (b *Broker) retain(m *Message) {
 	st.mu.Unlock()
 }
 
-// matchPool recycles the scratch slices Publish matches into, so a
+// matchPool recycles the scratch slices PublishBatch matches into, so a
 // publish allocates no per-call match slice. Slices are returned to the
 // pool emptied of entry pointers (a pooled slice must not pin departed
 // subscribers).
@@ -477,152 +477,118 @@ func putMatched(mp *[]*subEntry) {
 	matchPool.Put(mp)
 }
 
-// Publish fans a message out to every matching subscription, retains it,
-// and returns the number of subscriptions it reached. The message is
-// stamped with the next offset and, when a log is attached, written
-// through to it first — a message that cannot be made durable is not
-// delivered. The only lock a publish ever contends on is the log's own
-// offset sequencer (and per-mailbox locks on fan-out): payload
-// marshaling, record encoding, retained updates and trie matching all
-// run outside any shared critical section.
+// Publish publishes one message: a batch of one through PublishBatch,
+// so a single message and a batch share one write path.
 //
 // TestPublishAllocs pins its allocation budget.
 func (b *Broker) Publish(m Message) (int, error) {
-	if err := m.Validate(); err != nil {
-		return 0, err
-	}
-	if err := b.stamp(&m); err != nil {
-		return 0, err
-	}
-	b.published.Add(1)
-	// Retain before loading the index: paired with register's
-	// index-swap-then-stripe-read order, this guarantees a concurrent
-	// subscriber sees the message on at least one path.
-	b.retain(&m)
-	mp := matchPool.Get().(*[]*subEntry)
-	matched := trieMatch(b.index.Load(), m.Topic, true, *mp)
-	b.deliveries.Add(int64(len(matched)))
-	for _, e := range matched {
-		if e.sub.offer(m) {
-			e.sub.wake()
-		}
-	}
-	n := len(matched)
-	*mp = matched
-	putMatched(mp)
-	return n, nil
+	return b.PublishBatch([]Message{m})
 }
 
-// stamp assigns the message's offset: the log's sequencer for durable
-// brokers (the append's offset is the broker offset — WAL order and
-// offset order coincide by construction), a bare atomic otherwise. A
-// durable publish also gets the shared encode cache: the payload JSON
-// marshaled for the log is the same bytes every wire-facing subscriber
-// (the gateway) will reuse, and the cache travels inside every
-// fanned-out copy.
-func (b *Broker) stamp(m *Message) error {
-	l := b.log.Load()
-	if l == nil {
-		m.Offset = b.seq.Add(1)
-		return nil
-	}
-	c := newMsgCache(m.Payload)
-	off, err := l.Append(eventlog.Record{Topic: m.Topic, Time: m.Time, Payload: c.payload, Headers: m.Headers})
-	if err != nil {
-		return err
-	}
-	m.Offset = off
-	m.cache = c
-	b.notifyCommit()
-	return nil
-}
-
-// PublishBatch publishes a batch of messages, appending them to the log
-// as one contiguous run under a single sequencer acquisition (payloads
-// are marshaled and records encoded before the lock), then matching and
-// fanning out with the same lock-free path as Publish. It returns the
-// total number of subscription deliveries. Validation happens up front:
-// an invalid message fails the whole batch before anything is published.
+// PublishBatch fans each message out to every matching subscription,
+// retains it, and returns the total number of subscription deliveries.
+// Validation happens up front: an invalid message fails the whole batch
+// before anything is published. The batch is stamped with a contiguous
+// offset run and, when a log is attached, written through to it first
+// under a single sequencer acquisition — a message that cannot be made
+// durable is not delivered. The only lock a publish ever contends on is
+// the log's own offset sequencer (and per-mailbox locks on fan-out):
+// payload marshaling, record encoding, retained updates and trie
+// matching all run outside any shared critical section.
 //
 // TestPublishBatchAllocs pins its allocation budget.
 func (b *Broker) PublishBatch(msgs []Message) (int, error) {
-	for _, m := range msgs {
-		if err := m.Validate(); err != nil {
+	for i := range msgs {
+		if err := msgs[i].Validate(); err != nil {
 			return 0, err
 		}
 	}
 	if len(msgs) == 0 {
 		return 0, nil
 	}
-	if l := b.log.Load(); l != nil {
-		recs := make([]eventlog.Record, len(msgs))
-		for i := range msgs {
-			c := newMsgCache(msgs[i].Payload)
-			msgs[i].cache = c
-			recs[i] = eventlog.Record{Topic: msgs[i].Topic, Time: msgs[i].Time, Payload: c.payload, Headers: msgs[i].Headers}
-		}
-		first, n, err := l.AppendBatch(recs)
-		if n > 0 {
-			b.notifyCommit()
-		}
-		for i := 0; i < n; i++ {
-			msgs[i].Offset = first + uint64(i)
-		}
-		b.published.Add(int64(n))
-		for i := 0; i < n; i++ {
-			b.retain(&msgs[i])
-		}
-		if err != nil {
-			// A write-through failure mid-batch aborts the batch: the
-			// first n messages are already durable and retained (a
-			// restart replays them) but nothing is fanned out — under a
-			// failing disk, losing deliveries beats delivering what was
-			// never logged.
-			return 0, err
-		}
-	} else {
-		last := b.seq.Add(uint64(len(msgs)))
-		for i := range msgs {
-			msgs[i].Offset = last - uint64(len(msgs)) + 1 + uint64(i)
-		}
-		b.published.Add(int64(len(msgs)))
-		for i := range msgs {
-			b.retain(&msgs[i])
-		}
+	n, err := b.stamp(msgs)
+	b.published.Add(int64(n))
+	// Retain before loading the index: paired with register's
+	// index-swap-then-stripe-read order, this guarantees a concurrent
+	// subscriber sees the message on at least one path.
+	for i := range msgs[:n] {
+		b.retain(&msgs[i])
 	}
-	// Matches for the whole batch land in one pooled flat slice with
-	// per-message end offsets — two bookkeeping slices per batch instead
-	// of one match slice per message. One index load serves the batch.
-	mp := matchPool.Get().(*[]*subEntry)
-	ends := make([]int, len(msgs))
-	flat := *mp
-	root := b.index.Load()
-	for i := range msgs {
-		flat = trieMatch(root, msgs[i].Topic, true, flat)
-		ends[i] = len(flat)
+	if err != nil {
+		// A write-through failure mid-batch aborts the batch: the first n
+		// messages are already durable and retained (a restart replays
+		// them) but nothing is fanned out — under a failing disk, losing
+		// deliveries beats delivering what was never logged.
+		return 0, err
 	}
-	total := len(flat)
-	b.deliveries.Add(int64(total))
 	// Wakes are held back until the whole batch is fanned out, so each
 	// touched mailbox is woken once and its consumer finds the batch
-	// complete. The owed wakes are compacted into the front of flat, which
-	// the read index has already passed.
-	owed, start := 0, 0
-	for i, end := range ends {
-		for _, e := range flat[start:end] {
+	// complete. The owed wakes stay compacted at the front of the pooled
+	// match slice and each message's matches are appended after them,
+	// then cleared once offered (a pooled slice must not pin departed
+	// subscribers). One index load serves the batch.
+	mp := matchPool.Get().(*[]*subEntry)
+	flat := *mp
+	root := b.index.Load()
+	owed, total := 0, 0
+	for i := range msgs {
+		flat = trieMatch(root, msgs[i].Topic, true, flat)
+		total += len(flat) - owed
+		for _, e := range flat[owed:] {
 			if e.sub.offer(msgs[i]) {
 				flat[owed] = e
 				owed++
 			}
 		}
-		start = end
+		clear(flat[owed:])
+		flat = flat[:owed]
 	}
-	for _, e := range flat[:owed] {
+	b.deliveries.Add(int64(total))
+	for _, e := range flat {
 		e.sub.wake()
 	}
 	*mp = flat
 	putMatched(mp)
 	return total, nil
+}
+
+// stamp is the only place offsets are assigned: a bare atomic for
+// in-memory brokers, the log's sequencer (one AppendBatch) for durable
+// ones — WAL order and offset order coincide by construction. A durable
+// message also gets the shared encode cache: the payload JSON marshaled
+// for the log is the same bytes every wire-facing subscriber (the
+// gateway) will reuse, and the cache travels inside every fanned-out
+// copy. It returns how many messages were stamped: all of them, or on a
+// write-through failure the n the log took first.
+func (b *Broker) stamp(msgs []Message) (int, error) {
+	l := b.log.Load()
+	if l == nil {
+		last := b.seq.Add(uint64(len(msgs)))
+		first := last - uint64(len(msgs)) + 1
+		for i := range msgs {
+			msgs[i].Offset = first + uint64(i)
+		}
+		return len(msgs), nil
+	}
+	// A batch of one (every Publish) keeps its record on the stack.
+	var one [1]eventlog.Record
+	recs := one[:]
+	if len(msgs) > 1 {
+		recs = make([]eventlog.Record, len(msgs))
+	}
+	for i := range msgs {
+		c := newMsgCache(msgs[i].Payload)
+		msgs[i].cache = c
+		recs[i] = eventlog.Record{Topic: msgs[i].Topic, Time: msgs[i].Time, Payload: c.payload, Headers: msgs[i].Headers}
+	}
+	first, n, err := l.AppendBatch(recs)
+	if n > 0 {
+		b.notifyCommit()
+	}
+	for i := range msgs[:n] {
+		msgs[i].Offset = first + uint64(i)
+	}
+	return n, err
 }
 
 // Stats returns current broker statistics across every subscription

@@ -328,6 +328,52 @@ func TestPublishBatchWriteThrough(t *testing.T) {
 	}
 }
 
+// TestWriteThroughRefusal: a durable broker whose log refuses the append
+// publishes nothing — the call fails, no subscriber sees the message,
+// nothing is retained and nothing is counted as published.
+func TestWriteThroughRefusal(t *testing.T) {
+	msg := Message{Topic: "obs/mangaung/Rainfall", Time: time.Now(), Payload: 2.5}
+	for _, tc := range []struct {
+		name    string
+		publish func(*Broker) (int, error)
+	}{
+		{"Publish", func(b *Broker) (int, error) { return b.Publish(msg) }},
+		{"PublishBatch", func(b *Broker) (int, error) { return b.PublishBatch([]Message{msg, msg}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, l, _ := durableBroker(t, t.TempDir())
+			sub, err := b.Subscribe("obs/#", 0, DropOldest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			n, err := tc.publish(b)
+			if err == nil {
+				t.Fatalf("%s on a closed log succeeded with %d deliveries", tc.name, n)
+			}
+			if n != 0 {
+				t.Errorf("%s reported %d deliveries on failure", tc.name, n)
+			}
+			if got := sub.Poll(0); len(got) != 0 {
+				t.Errorf("subscriber saw %d messages that were never logged", len(got))
+			}
+			select {
+			case <-sub.Ready():
+				t.Error("subscriber was woken for a refused publish")
+			default:
+			}
+			if _, ok := b.Retained(msg.Topic); ok {
+				t.Error("refused message is retained")
+			}
+			if p := b.Stats().Published; p != 0 {
+				t.Errorf("Stats().Published = %d after a refused publish, want 0", p)
+			}
+		})
+	}
+}
+
 // TestAttachLogRequiresFreshBroker: attaching after in-memory publishes
 // would collide the broker's offset sequence with the log's — the
 // broker must refuse instead of bricking every later publish.

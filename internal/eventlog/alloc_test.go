@@ -40,7 +40,9 @@ func TestAppendAllocs(t *testing.T) {
 }
 
 // TestAppendBatchAllocs pins AppendBatch's allocation budget for a
-// 50-record batch: one frame-offset slice for the whole batch.
+// 50-record batch: the frames are encoded back to back into one pooled
+// buffer and found again by their header lengths, so a steady-state
+// batch allocates nothing.
 func TestAppendBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -56,7 +58,7 @@ func TestAppendBatchAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if got > 1 {
-		t.Errorf("AppendBatch allocates %.0f times, budget 1", got)
+	if got > 0 {
+		t.Errorf("AppendBatch allocates %.0f times, budget 0", got)
 	}
 }

@@ -418,29 +418,30 @@ func putEnc(bp *[]byte, buf []byte) {
 }
 
 // encodeFrame appends one [header][body] frame for rec to buf. The
-// header and the body's offset field are zero placeholders, patched by
-// patchFrame once the sequencer assigns the offset. Errors only on an
-// oversized record.
+// header carries the final body length; the CRC and the body's offset
+// field are zero placeholders, patched by patchFrame once the sequencer
+// assigns the offset. Errors only on an oversized record.
 func encodeFrame(buf []byte, rec *Record) ([]byte, error) {
 	start := len(buf)
 	var zero [frameHeader]byte
 	buf = append(buf, zero[:]...)
 	buf = appendRecordV2(buf, rec)
-	if body := len(buf) - start - frameHeader; body > maxRecordBytes {
+	body := len(buf) - start - frameHeader
+	if body > maxRecordBytes {
 		return buf, fmt.Errorf("eventlog: record of %d bytes exceeds limit %d", body, maxRecordBytes)
 	}
+	binary.LittleEndian.PutUint32(buf[start:start+4], uint32(body))
 	return buf, nil
 }
 
 // patchFrame stamps the assigned offset into a pre-encoded frame and
-// completes its header (length + CRC over the patched body). The offset
+// completes its header with the CRC over the patched body. The offset
 // occupies the first 8 body bytes (see codec.go), so sequencing a
-// record costs three fixed-size writes and one checksum — this is the
+// record costs two fixed-size writes and one checksum — this is the
 // entire per-record cost inside the append lock.
 func patchFrame(frame []byte, off uint64) {
 	body := frame[frameHeader:]
 	binary.LittleEndian.PutUint64(body[0:8], off)
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(body)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(body, castagnoli))
 }
 
@@ -473,40 +474,28 @@ func (l *Log) appendFrameLocked(frame []byte) (uint64, error) {
 	return off, nil
 }
 
-// Append encodes the record with the v2 binary codec into a pooled
-// buffer outside the lock, then takes the lock only to sequence it:
-// assign the next offset, patch it into the frame, and hand the bytes
-// to the buffered active segment. Concurrent appenders therefore
-// serialize on the offset assignment and buffer write, not on payload
-// encoding; WAL order equals offset order by construction. Durability
-// arrives with the next batched fsync (or Sync/Close).
+// Append appends one record: a batch of one through AppendBatch, so a
+// single record and a batch share one write path.
 //
 // TestAppendAllocs pins its allocation budget.
 func (l *Log) Append(rec Record) (uint64, error) {
-	bp := encPool.Get().(*[]byte)
-	buf, err := encodeFrame((*bp)[:0], &rec)
-	if err != nil {
-		putEnc(bp, buf)
-		return 0, err
-	}
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		putEnc(bp, buf)
-		return 0, errors.New("eventlog: log is closed")
-	}
-	off, err := l.appendFrameLocked(buf)
-	l.mu.Unlock()
-	putEnc(bp, buf)
+	off, _, err := l.AppendBatch([]Record{rec})
 	return off, err
 }
 
-// AppendBatch appends recs as one contiguous offset run: every record
-// is encoded outside the lock, then the lock is taken once to sequence
-// and write all of them back to back. It returns the first assigned
-// offset and how many records were appended; on error the first n
-// records are durably appended (offsets first..first+n-1) and the rest
-// were not. An empty batch returns (0, 0, nil).
+// AppendBatch appends recs as one contiguous offset run. Every record is
+// encoded with the v2 binary codec into one pooled buffer outside the
+// lock; the lock is then taken once, only to sequence: assign each
+// frame the next offset, patch it in, and hand the bytes to the
+// buffered active segment. Concurrent appenders therefore serialize on
+// the offset assignment and buffer write, not on payload encoding; WAL
+// order equals offset order by construction. Durability arrives with
+// the next batched fsync (or Sync/Close).
+//
+// It returns the first assigned offset and how many records were
+// appended; on error the first n records are durably appended (offsets
+// first..first+n-1) and the rest were not. An empty batch returns
+// (0, 0, nil).
 //
 // TestAppendBatchAllocs pins its allocation budget.
 func (l *Log) AppendBatch(recs []Record) (first uint64, n int, err error) {
@@ -515,31 +504,32 @@ func (l *Log) AppendBatch(recs []Record) (first uint64, n int, err error) {
 	}
 	bp := encPool.Get().(*[]byte)
 	buf := (*bp)[:0]
-	starts := make([]int, len(recs)+1)
 	for i := range recs {
-		starts[i] = len(buf)
 		if buf, err = encodeFrame(buf, &recs[i]); err != nil {
 			putEnc(bp, buf)
 			return 0, 0, err
 		}
 	}
-	starts[len(recs)] = len(buf)
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		putEnc(bp, buf)
 		return 0, 0, errors.New("eventlog: log is closed")
 	}
-	for i := range recs {
-		off, werr := l.appendFrameLocked(buf[starts[i]:starts[i+1]])
+	// Each frame is found by the body length encodeFrame wrote into its
+	// header.
+	for at := 0; at < len(buf); {
+		end := at + frameHeader + int(binary.LittleEndian.Uint32(buf[at:]))
+		off, werr := l.appendFrameLocked(buf[at:end])
 		if werr != nil {
 			err = werr
 			break
 		}
-		if i == 0 {
+		if n == 0 {
 			first = off
 		}
 		n++
+		at = end
 	}
 	l.mu.Unlock()
 	putEnc(bp, buf)

@@ -80,6 +80,46 @@ func TestAppendReadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendBatchRoundTrip: a batch's frames differ in length and are
+// found again by the length in each header, so every record of a batch
+// — across a segment rotation mid-batch and a reopen — reads back with
+// its own offset, topic and payload.
+func TestAppendBatchRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	l := openT(t, dir, Config{SegmentBytes: 512})
+	appendN(t, l, 1, 0)
+	batch := make([]Record, 20)
+	for i := range batch {
+		batch[i] = Record{
+			Topic:   fmt.Sprintf("obs/d%d/Rainfall", i%3),
+			Time:    time.Date(2015, 1, 1, 0, 0, i, 0, time.UTC),
+			Payload: json.RawMessage(fmt.Sprintf(`{"value":%d,"pad":%q}`, i, strings.Repeat("x", 7*i))),
+		}
+	}
+	first, n, err := l.AppendBatch(batch)
+	if err != nil || first != 2 || n != len(batch) {
+		t.Fatalf("AppendBatch: first %d n %d err %v, want first 2 n %d", first, n, err, len(batch))
+	}
+	if st := l.Stats(); st.Segments < 2 {
+		t.Fatalf("expected the batch to rotate the segment, got %d segments", st.Segments)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	l = openT(t, dir, Config{SegmentBytes: 512})
+	defer l.Close()
+	recs, next, err := l.Read(2, 0)
+	if err != nil || len(recs) != len(batch) || next != uint64(2+len(batch)) {
+		t.Fatalf("Read after reopen: %d records next %d err %v", len(recs), next, err)
+	}
+	for i, rec := range recs {
+		if rec.Offset != uint64(2+i) || rec.Topic != batch[i].Topic || string(rec.Payload) != string(batch[i].Payload) {
+			t.Errorf("record %d: offset %d topic %q payload %s, want %d %q %s",
+				i, rec.Offset, rec.Topic, rec.Payload, 2+i, batch[i].Topic, batch[i].Payload)
+		}
+	}
+}
+
 func TestRotationAndReopenContinuity(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir, Config{SegmentBytes: 512})

@@ -16,13 +16,16 @@ type IDTriple struct {
 // once assigned an ID, keeps it for the lifetime of the dictionary.
 //
 // Lookups go through a sync.Map, so snapshot readers resolve query
-// constants without taking any lock. Assignment (and growth of the
+// constants without taking any lock. The map is keyed by the term value
+// itself: IRI, Literal and BlankNode are the only Term types and all
+// three are comparable, so a lookup builds no Key() string and boxes
+// nothing. Assignment (and growth of the
 // reverse slice) is serialized by mu. The reverse slice is only ever
 // appended to, so a slice header captured under mu remains valid
 // forever: later appends either write past the captured length or
 // reallocate, never disturbing already-published entries.
 type dict struct {
-	ids sync.Map // term key (string) → ID
+	ids sync.Map // Term → ID
 
 	mu    sync.Mutex
 	terms []Term // ID-1 → term
@@ -32,7 +35,7 @@ func newDict() *dict { return &dict{} }
 
 // lookup resolves a term to its ID without interning it.
 func (d *dict) lookup(t Term) (ID, bool) {
-	v, ok := d.ids.Load(t.Key())
+	v, ok := d.ids.Load(t)
 	if !ok {
 		return 0, false
 	}
@@ -41,19 +44,18 @@ func (d *dict) lookup(t Term) (ID, bool) {
 
 // intern returns the ID for t, assigning a fresh one when unseen.
 func (d *dict) intern(t Term) ID {
-	key := t.Key()
-	if v, ok := d.ids.Load(key); ok {
+	if v, ok := d.ids.Load(t); ok {
 		return v.(ID)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	// Double-check: another writer may have interned t meanwhile.
-	if v, ok := d.ids.Load(key); ok {
+	if v, ok := d.ids.Load(t); ok {
 		return v.(ID)
 	}
 	d.terms = append(d.terms, t)
 	id := ID(len(d.terms))
-	d.ids.Store(key, id)
+	d.ids.Store(t, id)
 	return id
 }
 

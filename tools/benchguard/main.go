@@ -1,8 +1,13 @@
 // Command benchguard compares `go test -bench` output against the
 // committed BENCH_micro.json baseline and exits non-zero when any shared
-// benchmark's ns/op regressed beyond the allowed percentage. CI runs it
-// after the hot-path benchmark smoke so a codec or broker change cannot
-// silently give back the performance this repo's perf PRs bought.
+// benchmark's ns/op regressed beyond the allowed percentage, or its
+// allocs/op grew past its baseline row by more than max(2, 1%). CI runs
+// it after the hot-path benchmark smoke so a codec or broker change
+// cannot silently give back the performance this repo's perf PRs bought.
+// Allocation counts barely move with the machine, so they are the part
+// of the gate a slower or noisier box cannot excuse; they do move with
+// the compiler, so a baseline recorded by another Go minor version than
+// the running toolchain is refused outright.
 //
 // Usage:
 //
@@ -37,12 +42,17 @@ import (
 	"os"
 	"reflect"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 type baseline struct {
-	Note       string `json:"note"`
+	Note string `json:"note"`
+	// Go is the toolchain that recorded the baseline, as runtime.Version
+	// and the OS/arch ("go1.24.0 linux/amd64").
+	Go         string `json:"go"`
 	Benchmarks []struct {
 		Pkg      string  `json:"pkg"`
 		Name     string  `json:"name"`
@@ -56,8 +66,38 @@ type baseline struct {
 //
 //	BenchmarkAppend-8   1697505   627.7 ns/op   16 B/op   1 allocs/op
 //
-// The -<procs> suffix is optional (absent when GOMAXPROCS is 1).
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+// The -<procs> suffix is optional (absent when GOMAXPROCS is 1), and so
+// is the allocs/op column (present only under -benchmem).
+var (
+	benchLine  = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+	allocsCell = regexp.MustCompile(`\s([0-9]+) allocs/op`)
+)
+
+// measure is one benchmark's figures: ns/op, and allocs/op (-1 when the
+// output carries no allocation column).
+type measure struct {
+	ns     float64
+	allocs int64
+}
+
+// goMinorRe finds the "go1.N" minor version in a toolchain string such
+// as "go1.24.0 linux/amd64" or "go1.22rc1".
+var goMinorRe = regexp.MustCompile(`go1\.[0-9]+`)
+
+// checkToolchain refuses a baseline recorded by another Go minor version
+// than the running one: allocation counts follow the compiler's escape
+// analysis and inlining, so comparing them across versions gates the
+// toolchain, not the code.
+func checkToolchain(baselineGo, running string) error {
+	want, have := goMinorRe.FindString(baselineGo), goMinorRe.FindString(running)
+	if want == "" {
+		return fmt.Errorf("baseline names no Go version (go field %q)", baselineGo)
+	}
+	if want != have {
+		return fmt.Errorf("baseline was recorded with %s, this is %s: rerun the benchmarks on %s or re-record the baseline", want, running, want)
+	}
+	return nil
+}
 
 // loadReport mirrors the parts of cmd/dewsload's dewsload/v1 report
 // that the gate reads. Unknown fields are ignored so the gate tolerates
@@ -201,12 +241,15 @@ func main() {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		fatal(fmt.Errorf("parsing %s: %w", *baselinePath, err))
 	}
-	want := make(map[string]float64, len(base.Benchmarks))
+	if err := checkToolchain(base.Go, runtime.Version()); err != nil {
+		fatal(fmt.Errorf("%s: %w", *baselinePath, err))
+	}
+	want := make(map[string]measure, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
-		want[b.Name] = b.NsPerOp
+		want[b.Name] = measure{ns: b.NsPerOp, allocs: b.Allocs}
 	}
 
-	got := make(map[string]float64)
+	got := make(map[string]measure)
 	for _, path := range flag.Args() {
 		f, err := os.Open(path)
 		if err != nil {
@@ -222,16 +265,23 @@ func main() {
 			if err != nil {
 				continue
 			}
-			// Keep the fastest observation when a benchmark appears more
-			// than once (CI runs each with -count=3): shared runners are
-			// noisy in one direction only — a machine can be slowed by a
-			// noisy neighbor but not sped up — so min-of-N is the least
-			// noisy estimate of what the code can do, and the 25%
-			// headroom absorbs residual hardware differences from the
-			// committed baseline.
-			if prev, ok := got[m[1]]; !ok || ns < prev {
-				got[m[1]] = ns
+			allocs := int64(-1)
+			if a := allocsCell.FindStringSubmatch(sc.Text()); a != nil {
+				allocs, _ = strconv.ParseInt(a[1], 10, 64)
 			}
+			// Keep the fastest observation and the fewest allocations
+			// when a benchmark appears more than once (CI runs each with
+			// -count=3): both are noisy in one direction only — a machine
+			// can be slowed by a noisy neighbor but not sped up, and a
+			// collection that empties a sync.Pool adds allocations but
+			// never removes one — so min-of-N is the least noisy estimate
+			// of what the code can do. The 25% ns/op headroom absorbs
+			// residual hardware differences from the committed baseline.
+			// A run without the allocs/op column keeps -1, which fails.
+			if prev, ok := got[m[1]]; ok {
+				ns, allocs = min(prev.ns, ns), min(prev.allocs, allocs)
+			}
+			got[m[1]] = measure{ns: ns, allocs: allocs}
 		}
 		f.Close()
 		if err := sc.Err(); err != nil {
@@ -244,13 +294,23 @@ func main() {
 	}
 }
 
-// gateBench compares the measured ns/op against the baseline, printing
-// one line per compared benchmark (in name order) plus the matched and
-// missing counts. It fails on any regression beyond maxRegress, on an
-// empty intersection, and on a missing baseline benchmark whose name
-// matches require — a benchmark CI rebuilds every run must not be able
-// to vanish from the gate by being renamed or skipped.
-func gateBench(w io.Writer, want, got map[string]float64, maxRegress float64, require *regexp.Regexp, baselinePath string) error {
+// allocSlack is how many allocs/op a benchmark may exceed its baseline
+// row by: max(2, 1%) — the counts on a slower box stayed within 2 of
+// the baseline, and the 1% covers benchmarks whose counts run to the
+// hundred thousands (a replay that allocates per record).
+func allocSlack(base int64) float64 {
+	return max(2, 0.01*float64(base))
+}
+
+// gateBench compares the measured ns/op and allocs/op against the
+// baseline, printing one line per compared benchmark (in name order)
+// plus the matched and missing counts. It fails on an ns/op regression
+// beyond maxRegress, on allocs/op beyond the baseline plus allocSlack
+// (or missing from the output: run with -benchmem), on an empty
+// intersection, and on a missing baseline benchmark whose name matches
+// require — a benchmark CI rebuilds every run must not be able to
+// vanish from the gate by being renamed or skipped.
+func gateBench(w io.Writer, want, got map[string]measure, maxRegress float64, require *regexp.Regexp, baselinePath string) error {
 	names := make([]string, 0, len(want))
 	for name := range want {
 		names = append(names, name)
@@ -260,21 +320,30 @@ func gateBench(w io.Writer, want, got map[string]float64, maxRegress float64, re
 	compared, failed := 0, 0
 	var missing []string
 	for _, name := range names {
-		baseNs := want[name]
-		ns, ok := got[name]
+		base := want[name]
+		now, ok := got[name]
 		if !ok {
 			missing = append(missing, name)
 			continue
 		}
 		compared++
-		delta := 100 * (ns - baseNs) / baseNs
-		status := "ok"
+		delta := 100 * (now.ns - base.ns) / base.ns
+		var bad []string
 		if delta > maxRegress {
-			status = "REGRESSED"
+			bad = append(bad, "REGRESSED")
+		}
+		if now.allocs < 0 {
+			bad = append(bad, "NO ALLOCS (run with -benchmem)")
+		} else if float64(now.allocs-base.allocs) > allocSlack(base.allocs) {
+			bad = append(bad, "MORE ALLOCS")
+		}
+		status := "ok"
+		if len(bad) > 0 {
+			status = strings.Join(bad, ", ")
 			failed++
 		}
-		fmt.Fprintf(w, "%-44s baseline %10.1f ns/op  now %10.1f ns/op  %+6.1f%%  %s\n",
-			name, baseNs, ns, delta, status)
+		fmt.Fprintf(w, "%-44s baseline %10.1f ns/op %7d allocs  now %10.1f ns/op %7d allocs  %+6.1f%%  %s\n",
+			name, base.ns, base.allocs, now.ns, now.allocs, delta, status)
 	}
 	fmt.Fprintf(w, "benchguard: %d of %d baseline benchmarks matched, %d missing from the output\n",
 		compared, len(want), len(missing))
@@ -296,9 +365,9 @@ func gateBench(w io.Writer, want, got map[string]float64, maxRegress float64, re
 		}
 	}
 	if failed > 0 {
-		return fmt.Errorf("%d of %d benchmarks regressed more than %.0f%%", failed, compared, maxRegress)
+		return fmt.Errorf("%d of %d benchmarks regressed more than %.0f%% ns/op or past their allocs/op budget", failed, compared, maxRegress)
 	}
-	fmt.Fprintf(w, "benchguard: %d benchmarks within %.0f%% of %s\n", compared, maxRegress, baselinePath)
+	fmt.Fprintf(w, "benchguard: %d benchmarks within %.0f%% ns/op and their allocs/op budget of %s\n", compared, maxRegress, baselinePath)
 	return nil
 }
 
